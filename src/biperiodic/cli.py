@@ -10,8 +10,8 @@ Subcommands:
 
 All numeric input is exact -- integers or ``p/q`` literals, never decimals --
 and rationals render losslessly as ``num/den`` (``/den`` omitted when the
-value is an integer).  Exit codes: 0 success, 1 verification or cross-check
-failure, 2 usage or parameter error.
+value is an integer), at any size.  Exit codes: 0 success, 1 verification or
+cross-check failure, 2 usage or parameter error, or any other error.
 """
 
 from __future__ import annotations
@@ -371,11 +371,24 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    # Values of any size must print, so the int->str digit limit (Python
+    # >= 3.10.7) is lifted while a handler runs and restored afterwards.
+    # Arguments are parsed before this, so input parsing keeps the limit.
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(previous)
 
 
 def run() -> None:

@@ -2,8 +2,8 @@
 
 Two independent fast routes are provided next to the linear-time oracle:
 
-* ``matrix`` -- binary powers of the companion matrices, with one entry
-  unscaled exactly by the parity-weighted factor it carries;
+* ``matrix`` -- binary powers of the period-2 transfer matrix, which
+  advances a pair of consecutive terms by one full period of the recurrence;
 * ``doubling`` -- index doubling on the pair (u(n), u(n+1)), driven by the
   addition identities of the u-sequence.
 
@@ -21,16 +21,15 @@ from fractions import Fraction
 from .core import (
     Params,
     SequenceKind,
+    initial_pair,
     reflect_u,
     reflect_v,
     reflect_w,
     term_naive,
     v_from_u_terms,
     w_from_u_terms,
-    zeta,
 )
-from .exact import Mat2, OpCounter, Rational, mat_mul, mat_pow, rat_pow
-from .matforms import MatrixTag, build
+from .exact import Mat2, OpCounter, Rational, mat_pow
 
 __all__ = [
     "Method",
@@ -92,46 +91,43 @@ def uv_doubling(
     return u_k, u_k1
 
 
-def _u_pair_matrix(
-    p: Params, n: int, counter: OpCounter | None
-) -> tuple[Rational, Rational]:
-    """(u(n-1), u(n)) read off one binary power of the u-companion, n >= 1."""
-    power = mat_pow(build(MatrixTag.U, p), n, counter)
-    scale = rat_pow(p.a * p.b, n // 2)
-    z = zeta(n)
-    u_n = power.m21 / (scale * rat_pow(p.a, z))
-    u_prev = power.m22 / (scale * p.c * rat_pow(p.b, z))
-    if counter is not None:
-        counter.add(6)
-    return u_prev, u_n
-
-
 def term_matrix(
     p: Params, kind: SequenceKind, n: int, counter: OpCounter | None = None
 ) -> Rational:
-    """Term at any integer index via binary matrix powers and exact unscaling."""
-    if kind is SequenceKind.U:
-        if n == 0:
-            return Fraction(0)
-        if n < 0:
-            return reflect_u(p, -n, term_matrix(p, kind, -n, counter))
-        return _u_pair_matrix(p, n, counter)[1]
-    if kind is SequenceKind.V:
-        if n == 0:
-            return Fraction(2)
-        if n < 0:
-            return reflect_v(p, -n, term_matrix(p, kind, -n, counter))
-        u_prev, u_n = _u_pair_matrix(p, n, counter)
-        return v_from_u_terms(p, n, u_n, u_prev)
+    """Term at any integer index via binary powers of the period-2 transfer matrix.
+
+    P = [[a, c], [1, 0]] [[b, c], [1, 0]] = [[ab + c, ac], [b, c]] maps
+    (x(j+1), x(j)) to (x(j+3), x(j+2)) for odd j.  One single step takes the
+    kind's initial pair to (x(2), x(1)), and P^m with m = (k-1)//2 takes that
+    to (x(2m+2), x(2m+1)), so x(k) for k >= 1 is read from the top row when
+    k is even and from the bottom row when k is odd.  Negative indices use
+    the reflection formulas: u(-k) and v(-k) reflect the term at k, and
+    w(-k) reflects u(k) and u(k+1), the second read from the other row or
+    one more step.  No entry is rescaled, so positive indices need no division.
+    """
     if n == 0:
-        return p.w0
-    if n < 0:
-        u_n, u_next = _u_pair_matrix(p, -n + 1, counter)
-        return reflect_w(p, -n, u_n, u_next)
-    power = mat_mul(build(MatrixTag.T, p), mat_pow(build(MatrixTag.U, p), n - 1, counter))
+        return initial_pair(p, kind)[0]
+    if n < 0 and kind is not SequenceKind.W:
+        reflect = reflect_u if kind is SequenceKind.U else reflect_v
+        return reflect(p, -n, term_matrix(p, kind, -n, counter))
+    k = abs(n)
+    x0, x1 = initial_pair(p, kind if n > 0 else SequenceKind.U)
+    x2 = p.a * x1 + p.c * x0
+    transfer = Mat2(p.a * p.b + p.c, p.a * p.c, p.b, p.c)
+    power = mat_pow(transfer, (k - 1) // 2, counter)
+    if n > 0:
+        if counter is not None:
+            counter.add(6)
+        if k % 2:
+            return power.m21 * x2 + power.m22 * x1
+        return power.m11 * x2 + power.m12 * x1
+    top = power.m11 * x2 + power.m12 * x1
+    bottom = power.m21 * x2 + power.m22 * x1
     if counter is not None:
-        counter.add(8)
-    return power.m21 / (rat_pow(p.a * p.b, n // 2) * rat_pow(p.a, zeta(n)))
+        counter.add(8 if k % 2 else 10)
+    if k % 2:
+        return reflect_w(p, k, bottom, top)
+    return reflect_w(p, k, top, p.b * top + p.c * bottom)
 
 
 def term_doubling(

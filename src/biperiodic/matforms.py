@@ -11,9 +11,7 @@ Five matrices, tagged U, K, H, T, A, encode the recurrence:
 Every ``*_power_closed`` function assembles the n-th power entrywise from
 sequence terms produced by the linear-time recurrence, so it is a route to
 the same matrix that is fully independent of square-and-multiply; agreement
-of the two is a primary test surface.  The common scale factor (ab)^floor(n/2)
-is computed exactly and applied last, never folded into entries early, which
-is what lets the fast path unscale single entries exactly.
+of the two is a primary test surface.
 """
 
 from __future__ import annotations

@@ -1,11 +1,29 @@
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 
 import pytest
 
 import biperiodic.cli as cli
+from biperiodic.catalog import lookup
 from biperiodic.cli import main
+from biperiodic.fastpath import term_doubling
+
+
+@contextmanager
+def no_digit_limit():
+    """Lift the int<->str digit limit of Python >= 3.10.7 for the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 class TestTerm:
@@ -199,6 +217,37 @@ class TestCatalog:
         out = capsys.readouterr().out
         first = out.strip().splitlines()[0]
         assert first.startswith("generalized-biperiodic-fibonacci")
+
+
+class TestLargeValues:
+    """Values past Python's 4300-digit int->str limit print in full."""
+
+    def test_term_past_digit_limit(self, capsys: pytest.CaptureFixture[str]) -> None:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert main(["term", "--seq", "fibonacci", "-n", "100000"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert len(out) == 20899
+        fib = lookup("fibonacci")
+        with no_digit_limit():
+            assert out == str(term_doubling(fib.params, fib.kind, 100000))
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_gen_past_digit_limit(self, capsys: pytest.CaptureFixture[str]) -> None:
+        assert main(["gen", "--seq", "fibonacci", "--from", "20600", "--to", "20603"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        index, value = last.split(",")
+        assert index == "20603" and len(value) > 4300
+        fib = lookup("fibonacci")
+        with no_digit_limit():
+            assert value == str(term_doubling(fib.params, fib.kind, 20603))
+
+    def test_unexpected_error_exit_2(self, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]) -> None:
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "term_fast", broken)
+        assert main(["term", "--seq", "fibonacci", "-n", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: RuntimeError: boom")
 
 
 class TestTopLevel:

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biperiodic.core import Params, SequenceKind, term_naive
 from biperiodic.exact import OpCounter
@@ -11,6 +13,20 @@ from biperiodic.fastpath import Method, term_doubling, term_fast, term_matrix, u
 from conftest import P_STAR, random_params
 
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+nonzero = rationals.filter(lambda x: x != 0)
+# the small indices exercise every branch of the routes: n = 0, the single
+# steps around it and both parities on each side
+indices = st.one_of(st.sampled_from([0, 1, -1, 2, -2, 3, -3]), st.integers(-64, 64))
+
+
+@st.composite
+def rational_points(draw: st.DrawFn) -> Params:
+    """A rational parameter point; about half have zero discriminant (c = -ab/4)."""
+    a, b = draw(nonzero), draw(nonzero)
+    c = -a * b / 4 if draw(st.booleans()) else draw(nonzero)
+    return Params(a, b, c, draw(rationals), draw(rationals))
 
 
 class TestUvDoubling:
@@ -51,6 +67,13 @@ class TestMethodsAgree:
                     expected = term_naive(p, kind, n)
                     assert term_matrix(p, kind, n) == expected
                     assert term_doubling(p, kind, n) == expected
+
+    @given(p=rational_points(), n=indices)
+    def test_three_way_agreement_property(self, p: Params, n: int) -> None:
+        for kind in SequenceKind:
+            expected = term_naive(p, kind, n)
+            assert term_matrix(p, kind, n) == expected, kind
+            assert term_doubling(p, kind, n) == expected, kind
 
     def test_spot_values(self) -> None:
         assert term_doubling(P_STAR, W, 5) == 79
