@@ -12,6 +12,10 @@ All numeric input is exact -- integers or ``p/q`` literals, never decimals --
 and rationals render losslessly as ``num/den`` (``/den`` omitted when the
 value is an integer), at any size.  Exit codes: 0 success, 1 verification or
 cross-check failure, 2 usage or parameter error, or any other error.
+
+The linear-time walks (``term --method naive``, ``gen``, ``bench`` with the
+naive method) refuse any index beyond ``_NAIVE_INDEX_CAP`` in absolute value
+with exit code 2, before any work is done.
 """
 
 from __future__ import annotations
@@ -47,6 +51,14 @@ _SUITES: dict[str, tuple[Family, ...]] = {
 
 class CliError(Exception):
     """A usage or parameter problem; mapped to exit code 2."""
+
+
+def _refuse_naive_index(n: int) -> None:
+    """Reject a linear-time walk to index n before any of it is done."""
+    if abs(n) > _NAIVE_INDEX_CAP:
+        raise CliError(
+            f"the naive method is linear-time; refusing |n| > {_NAIVE_INDEX_CAP}"
+        )
 
 
 def _positive_int(text: str) -> int:
@@ -131,6 +143,8 @@ def _resolve_sequence(args: argparse.Namespace) -> tuple[Params, SequenceKind]:
 
 
 def cmd_term(args: argparse.Namespace) -> int:
+    if args.method == Method.NAIVE.value:
+        _refuse_naive_index(args.index)
     params, kind = _resolve_sequence(args)
     value = term_fast(params, kind, args.index, Method(args.method))
     if args.format == "json":
@@ -144,6 +158,7 @@ def cmd_term(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    _refuse_naive_index(max(abs(args.start), abs(args.stop)))
     params, kind = _resolve_sequence(args)
     if args.start > args.stop:
         raise CliError("--from must not exceed --to")
@@ -220,10 +235,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     params, kind = _resolve_sequence(args)
     methods = args.methods
-    if Method.NAIVE in methods and any(n > _NAIVE_INDEX_CAP for n in args.n_list):
-        raise CliError(
-            f"the naive method is linear-time; refusing n > {_NAIVE_INDEX_CAP}"
-        )
+    if Method.NAIVE in methods:
+        _refuse_naive_index(max(args.n_list))
     rows = []
     for n in args.n_list:
         seen: dict[Method, object] = {}

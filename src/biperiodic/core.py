@@ -16,7 +16,11 @@ everything else about an instance lives in :class:`Params`.
 
 This module is the slow, obviously-correct route: terms are produced by
 stepping the recurrence |n| times.  The logarithmic-time routes in
-:mod:`biperiodic.fastpath` are checked against it.
+:mod:`biperiodic.fastpath` are checked against it.  :func:`term_naive` walks
+from the initial pair on every call and is the anchor; :class:`TermTable`
+keeps the terms it has walked, so repeated lookups at one parameter point
+cost only the steps not yet taken, and :func:`term_range` is a slice of a
+fresh table.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "table_notation",
     "discriminant",
     "term_naive",
+    "TermTable",
     "term_range",
     "w_from_u",
     "v_from_u",
@@ -145,22 +150,61 @@ def term_naive(
     return lower
 
 
+class TermTable:
+    """Terms of one sequence at one parameter point, walked on demand.
+
+    ``table[n]`` is the term at any integer n; ``table[lo:stop]`` is the list
+    of terms at lo..stop-1.  A lookup past the walked window extends it by
+    the forward step (upward) or the backward step (downward), so every term
+    is computed once per table however often it is read.
+    """
+
+    def __init__(self, p: Params, kind: SequenceKind) -> None:
+        self.params = p
+        t0, t1 = initial_pair(p, kind)
+        self._terms = {0: t0, 1: t1}
+        self._lo, self._hi = 0, 1
+
+    def __getitem__(self, key: int | slice) -> Rational | list[Rational]:
+        if isinstance(key, slice):
+            if key.start is None or key.stop is None or key.step is not None:
+                raise ValueError("term slices need a start and a stop and no step")
+            if key.start < key.stop:
+                self[key.start], self[key.stop - 1]  # walk to both ends
+            return [self._terms[k] for k in range(key.start, key.stop)]
+        if key > self._hi:
+            self._extend_up(key)
+        elif key < self._lo:
+            self._extend_down(key)
+        return self._terms[key]
+
+    # Each extender reads its bound once and moves it only after the term at
+    # the new bound is stored, so every index between the bounds always has
+    # its term.  Two callers extending the same table at once therefore only
+    # rewrite equal values.
+
+    def _extend_up(self, n: int) -> None:
+        p, terms, hi = self.params, self._terms, self._hi
+        prev, cur = terms[hi - 1], terms[hi]
+        for k in range(hi + 1, n + 1):
+            prev, cur = cur, chi(p, k) * cur + p.c * prev
+            terms[k] = cur
+            self._hi = k
+
+    def _extend_down(self, n: int) -> None:
+        p, terms, lo = self.params, self._terms, self._lo
+        lower, upper = terms[lo], terms[lo + 1]
+        for k in range(lo - 1, n - 1, -1):
+            lower, upper = (upper - chi(p, k + 2) * lower) / p.c, lower
+            terms[k] = lower
+            self._lo = k
+
+
 def term_range(p: Params, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:
     """Terms at indices lo..hi inclusive, in one recurrence walk per direction."""
     if lo > hi:
         raise ValueError(f"empty index range: {lo}..{hi}")
-    t0, t1 = initial_pair(p, kind)
-    terms = {0: t0, 1: t1}
-    prev, cur = t0, t1
-    for k in range(2, hi + 1):
-        prev, cur = cur, chi(p, k) * cur + p.c * prev
-        terms[k] = cur
-    lower, upper = t0, t1
-    for k in range(-1, lo - 1, -1):
-        stepped = (upper - chi(p, k + 2) * lower) / p.c
-        lower, upper = stepped, lower
-        terms[k] = lower
-    return [terms[k] for k in range(lo, hi + 1)]
+    return TermTable(p, kind)[lo : hi + 1]
 
 
 def w_from_u_terms(p: Params, n: int, u_n: Rational, u_prev: Rational) -> Rational:

@@ -30,6 +30,12 @@ T34         difference-of-squares companion of COR31
 ``run_suite`` samples parameter points and index tuples deterministically
 from a seed and runs any subset of the families, recording skips whenever a
 precondition (nonzero discriminant, nonzero series constant) fails.
+
+The checkers read u, v and w terms from one :class:`~biperiodic.core.TermTable`
+per sequence, held in a one-entry memo keyed by the parameter point.
+``run_suite`` checks one point per sample, so every check of a sample reads
+the same three tables, and each term is walked once per sample.  The matrix
+series of :func:`sum_oracle` stays independent of the tables.
 """
 
 from __future__ import annotations
@@ -39,14 +45,14 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     DegenerateParametersError,
     Params,
     SequenceKind,
+    TermTable,
     discriminant,
-    term_naive,
-    term_range,
     zeta,
 )
 from .exact import Mat2, Rational, mat_det, mat_inv, mat_mul, mat_pow, rat_pow
@@ -180,16 +186,10 @@ def _ab(p: Params, e: int) -> Rational:
     return rat_pow(p.a / p.b, e)
 
 
-def _u(p: Params, i: int) -> Rational:
-    return term_naive(p, SequenceKind.U, i)
-
-
-def _v(p: Params, i: int) -> Rational:
-    return term_naive(p, SequenceKind.V, i)
-
-
-def _w(p: Params, i: int) -> Rational:
-    return term_naive(p, SequenceKind.W, i)
+@lru_cache(maxsize=1)
+def _tables(p: Params) -> tuple[TermTable, TermTable, TermTable]:
+    """The u, v and w term tables of the most recently checked point."""
+    return tuple(TermTable(p, kind) for kind in SequenceKind)
 
 
 def _report(
@@ -212,26 +212,27 @@ def check_u_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
         raise ValueError(f"L1 has sub-identities 1..4, not {sub!r}")
     if n < 1 or (sub != 1 and m < 1):
         raise ValueError("indices must be >= 1")
+    u, _, _ = _tables(p)
     if sub == 1:
-        lhs = _ab(p, zeta(n)) * _u(p, n) ** 2 - _ab(p, zeta(n + 1)) * _u(p, n - 1) * _u(p, n + 1)
+        lhs = _ab(p, zeta(n)) * u[n] ** 2 - _ab(p, zeta(n + 1)) * u[n - 1] * u[n + 1]
         rhs = (p.a / p.b) * rat_pow(-p.c, n - 1)
         return _report(Family.L1, sub, p, {"n": n}, lhs, rhs)
     if sub == 2:
-        lhs = _ba(p, zeta(m * n + n)) * _u(p, m) * _u(p, n + 1) + _ba(
+        lhs = _ba(p, zeta(m * n + n)) * u[m] * u[n + 1] + _ba(
             p, zeta(m * n + m)
-        ) * p.c * _u(p, n) * _u(p, m - 1)
-        rhs = _u(p, n + m)
+        ) * p.c * u[n] * u[m - 1]
+        rhs = u[n + m]
     elif sub == 3:
         # exponents from comparing U^n (U^m)^-1 = U^(n-m) entrywise
-        lhs = _ba(p, zeta(m * n + m)) * _u(p, n) * _u(p, m + 1) - _ba(
+        lhs = _ba(p, zeta(m * n + m)) * u[n] * u[m + 1] - _ba(
             p, zeta(m * n + n)
-        ) * _u(p, m) * _u(p, n + 1)
-        rhs = rat_pow(-p.c, m) * _u(p, n - m)
+        ) * u[m] * u[n + 1]
+        rhs = rat_pow(-p.c, m) * u[n - m]
     else:
-        lhs = _ba(p, zeta(m * n + n)) * _u(p, m) * _u(p, n - m + 1) + p.c * _ba(
+        lhs = _ba(p, zeta(m * n + n)) * u[m] * u[n - m + 1] + p.c * _ba(
             p, zeta(m * n)
-        ) * _u(p, m - 1) * _u(p, n - m)
-        rhs = _u(p, n)
+        ) * u[m - 1] * u[n - m]
+        rhs = u[n]
     return _report(Family.L1, sub, p, {"m": m, "n": n}, lhs, rhs)
 
 
@@ -248,29 +249,30 @@ def check_uv_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
     if discriminant(p) == 0:
         raise DegenerateParametersError("discriminant is zero for these parameters")
     q = discriminant(p) / (p.a * p.a)
+    u, v, _ = _tables(p)
     if sub == 1:
-        lhs = _v(p, n) ** 2 - q * _u(p, n) ** 2
+        lhs = v[n] ** 2 - q * u[n] ** 2
         rhs = 4 * _ba(p, zeta(n)) * rat_pow(-p.c, n)
         return _report(Family.L2, sub, p, {"n": n}, lhs, rhs)
     zz = zeta(n) * zeta(m)
     if sub == 2:
-        lhs = _v(p, m) * _v(p, n) + q * _u(p, m) * _u(p, n)
-        rhs = 2 * _ba(p, zz) * _v(p, n + m)
+        lhs = v[m] * v[n] + q * u[m] * u[n]
+        rhs = 2 * _ba(p, zz) * v[n + m]
     elif sub == 3:
-        lhs = _u(p, m) * _v(p, n) + _u(p, n) * _v(p, m)
-        rhs = 2 * _ba(p, zz) * _u(p, n + m)
+        lhs = u[m] * v[n] + u[n] * v[m]
+        rhs = 2 * _ba(p, zz) * u[n + m]
     elif sub == 4:
-        lhs = _v(p, m) * _v(p, n) - q * _u(p, m) * _u(p, n)
-        rhs = 2 * rat_pow(-p.c, m) * _ba(p, zz) * _v(p, n - m)
+        lhs = v[m] * v[n] - q * u[m] * u[n]
+        rhs = 2 * rat_pow(-p.c, m) * _ba(p, zz) * v[n - m]
     elif sub == 5:
-        lhs = _u(p, n) * _v(p, m) - _u(p, m) * _v(p, n)
-        rhs = 2 * rat_pow(-p.c, m) * _ba(p, zz) * _u(p, n - m)
+        lhs = u[n] * v[m] - u[m] * v[n]
+        rhs = 2 * rat_pow(-p.c, m) * _ba(p, zz) * u[n - m]
     elif sub == 6:
-        lhs = _v(p, n + m) + rat_pow(-p.c, m) * _v(p, n - m)
-        rhs = _ab(p, zz) * _v(p, m) * _v(p, n)
+        lhs = v[n + m] + rat_pow(-p.c, m) * v[n - m]
+        rhs = _ab(p, zz) * v[m] * v[n]
     else:
-        lhs = _u(p, n + m) + rat_pow(-p.c, m) * _u(p, n - m)
-        rhs = _ab(p, zz) * _u(p, n) * _v(p, m)
+        lhs = u[n + m] + rat_pow(-p.c, m) * u[n - m]
+        rhs = _ab(p, zz) * u[n] * v[m]
     return _report(Family.L2, sub, p, {"m": m, "n": n}, lhs, rhs)
 
 
@@ -283,7 +285,8 @@ def check_cassini(p: Params, n: int) -> IdentityReport:
     """Cassini-style quadratic for w at index n >= 1 (family CASSINI_W)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lhs = _ba(p, zeta(n)) * _w(p, n - 1) * _w(p, n + 1) - _ba(p, zeta(n + 1)) * _w(p, n) ** 2
+    _, _, w = _tables(p)
+    lhs = _ba(p, zeta(n)) * w[n - 1] * w[n + 1] - _ba(p, zeta(n + 1)) * w[n] ** 2
     rhs = rat_pow(Fraction(-1), n) * rat_pow(p.c, n - 1) * _w_invariant(p)
     return _report(Family.CASSINI_W, None, p, {"n": n}, lhs, rhs)
 
@@ -292,10 +295,11 @@ def check_addition(p: Params, n: int, q: int) -> IdentityReport:
     """Index-addition rule w(n+q) = f(u(n), u(n-1), w(q), w(q+1)); n, q >= 1."""
     if n < 1 or q < 1:
         raise ValueError("indices must be >= 1")
-    lhs = _w(p, n + q)
-    rhs = _ba(p, zeta(n + 1) * zeta(q)) * _u(p, n) * _w(p, q + 1) + p.c * _ba(
+    u, _, w = _tables(p)
+    lhs = w[n + q]
+    rhs = _ba(p, zeta(n + 1) * zeta(q)) * u[n] * w[q + 1] + p.c * _ba(
         p, zeta(n) * zeta(q + 1)
-    ) * _u(p, n - 1) * _w(p, q)
+    ) * u[n - 1] * w[q]
     return _report(Family.ADDITION, None, p, {"n": n, "q": q}, lhs, rhs)
 
 
@@ -303,15 +307,16 @@ def check_catalan(p: Params, n: int, pp: int, q: int) -> IdentityReport:
     """Catalan-style product difference for w; all three indices >= 1."""
     if n < 1 or pp < 1 or q < 1:
         raise ValueError("indices must be >= 1")
+    u, _, w = _tables(p)
     zpq = zeta(pp) * zeta(q)
-    lhs = _ba(p, zeta(n) * zpq) * _w(p, n + pp) * _w(p, n + q) - _ba(
+    lhs = _ba(p, zeta(n) * zpq) * w[n + pp] * w[n + q] - _ba(
         p, zeta(n + 1) * zpq
-    ) * _w(p, n) * _w(p, n + pp + q)
+    ) * w[n] * w[n + pp + q]
     rhs = (
         _ba(p, zeta(n) * zeta(pp + 1) * zeta(q + 1))
         * rat_pow(-p.c, n)
-        * _u(p, pp)
-        * _u(p, q)
+        * u[pp]
+        * u[q]
         * _w_invariant(p)
     )
     return _report(Family.CATALAN, None, p, {"n": n, "pp": pp, "q": q}, lhs, rhs)
@@ -321,10 +326,11 @@ def check_product_sum(p: Params, m: int, n: int) -> IdentityReport:
     """Product-sum symmetry for w; m, n >= 1 (family PRODSUM)."""
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
-    lhs = _ba(p, zeta(m * n + n)) * _w(p, n + 1) * _w(p, m) + _ba(
+    _, _, w = _tables(p)
+    lhs = _ba(p, zeta(m * n + n)) * w[n + 1] * w[m] + _ba(
         p, zeta(m * n + m)
-    ) * p.c * _w(p, n) * _w(p, m - 1)
-    rhs = p.w1 * _w(p, m + n) + _ba(p, zeta(m + n)) * p.c * p.w0 * _w(p, m + n - 1)
+    ) * p.c * w[n] * w[m - 1]
+    rhs = p.w1 * w[m + n] + _ba(p, zeta(m + n)) * p.c * p.w0 * w[m + n - 1]
     return _report(Family.PRODSUM, None, p, {"m": m, "n": n}, lhs, rhs)
 
 
@@ -332,8 +338,9 @@ def check_square_sum(p: Params, n: int) -> IdentityReport:
     """Sum-of-squares specialization of PRODSUM at m = n+1 (family COR31)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lhs = _ba(p, zeta(n)) * _w(p, n + 1) ** 2 + _ba(p, zeta(n + 1)) * p.c * _w(p, n) ** 2
-    rhs = p.w1 * _w(p, 2 * n + 1) + (p.b / p.a) * p.c * p.w0 * _w(p, 2 * n)
+    _, _, w = _tables(p)
+    lhs = _ba(p, zeta(n)) * w[n + 1] ** 2 + _ba(p, zeta(n + 1)) * p.c * w[n] ** 2
+    rhs = p.w1 * w[2 * n + 1] + (p.b / p.a) * p.c * p.w0 * w[2 * n]
     return _report(Family.COR31, None, p, {"n": n}, lhs, rhs)
 
 
@@ -341,11 +348,12 @@ def check_square_difference(p: Params, n: int) -> IdentityReport:
     """Difference-of-squares companion of COR31; n >= 1 (family T34)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lhs = _w(p, n + 1) ** 2 - p.c * p.c * _w(p, n - 1) ** 2
+    _, _, w = _tables(p)
+    lhs = w[n + 1] ** 2 - p.c * p.c * w[n - 1] ** 2
     rhs = (
         rat_pow(p.a, zeta(n))
         * rat_pow(p.b, zeta(n + 1))
-        * (p.w1 * _w(p, 2 * n) + p.c * p.w0 * _w(p, 2 * n - 1))
+        * (p.w1 * w[2 * n] + p.c * p.w0 * w[2 * n - 1])
     )
     return _report(Family.T34, None, p, {"n": n}, lhs, rhs)
 
@@ -354,7 +362,7 @@ def sum_constants(p: Params, m: int) -> SumConstants:
     """Both normalizing constants of the partial-sum closed form at step m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    v_m = _v(p, m)
+    v_m = _tables(p)[1][m]
     z = zeta(m)
     printed = 1 - rat_pow(p.a, z) * v_m + rat_pow(p.a * p.b, z) * rat_pow(-p.c, m)
     corrected = (
@@ -398,16 +406,14 @@ def sum_direct(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
     the v-sum carries a^zeta(mj+r) instead.
     """
     _validate_sum_indices(m, n, r)
-    hi = m * n + r
-    us = term_range(p, SequenceKind.U, 0, hi)
-    vs = term_range(p, SequenceKind.V, 0, hi)
+    u, v, _ = _tables(p)
     total_u = Fraction(0)
     total_v = Fraction(0)
     for j in range(n + 1):
         t = m * j + r
         scale = rat_pow(p.a * p.b, t // 2)
-        total_u += scale * rat_pow(p.a, zeta(t) - 1) * us[t]
-        total_v += scale * rat_pow(p.a, zeta(t)) * vs[t]
+        total_u += scale * rat_pow(p.a, zeta(t) - 1) * u[t]
+        total_v += scale * rat_pow(p.a, zeta(t)) * v[t]
     return total_u, total_v
 
 
@@ -435,26 +441,24 @@ def sum_closed(
     bracket_weight = rat_pow(p.a * p.b, m // 2) if corrected else Fraction(1)
     tail_sign = -1 if corrected else 1
     top = m * n + m + r
-    lo = min(r - m, 0)
-    us = term_range(p, SequenceKind.U, lo, top)
-    vs = term_range(p, SequenceKind.V, lo, top)
+    u, v, _ = _tables(p)
     zm = zeta(m)
 
-    def closed(values: list[Rational], diag_shift: int) -> Rational:
+    def closed(values: TermTable, diag_shift: int) -> Rational:
         def bracket(t: int, sign: int) -> Rational:
             weight = (
                 rat_pow(-p.c, m)
                 * rat_pow(p.a, zm * zeta(t + 1))
                 * rat_pow(p.b, zm * zeta(t))
             )
-            return values[t - lo] + sign * bracket_weight * weight * values[t - m - lo]
+            return values[t] + sign * bracket_weight * weight * values[t - m]
 
         def outer(t: int) -> Rational:
             return rat_pow(p.a * p.b, t // 2) * rat_pow(p.a, zeta(t) + diag_shift)
 
         return (outer(r) * bracket(r, -1) - outer(top) * bracket(top, tail_sign)) / d
 
-    return closed(us, -1), closed(vs, 0)
+    return closed(u, -1), closed(v, 0)
 
 
 def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
@@ -513,16 +517,15 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
     if m < 2 or n < 0 or r < 0:
         raise ValueError("binomial expansion needs m >= 2, n >= 0, r >= 0")
     target = m * n + r
-    hi = max(target, m)
-    us = term_range(p, SequenceKind.U, 0, hi)
-    xs = us if seq == "u" else term_range(p, SequenceKind.V, 0, hi)
+    u, v, _ = _tables(p)
+    xs = u if seq == "u" else v
     total = Fraction(0)
     for i in range(n + 1):
         total += (
             math.comb(n, i)
             * rat_pow(p.c, n - i)
-            * rat_pow(us[m], i)
-            * rat_pow(us[m - 1], n - i)
+            * rat_pow(u[m], i)
+            * rat_pow(u[m - 1], n - i)
             * xs[i + r]
             * delta_weight(p, m, n, r, i)
         )

@@ -1,15 +1,31 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import biperiodic
 import biperiodic.cli as cli
 from biperiodic.catalog import lookup
 from biperiodic.cli import main
 from biperiodic.fastpath import term_doubling
+
+
+# sha256 of the stdout of `verify --suite all --seed 7 --report json`; a change
+# of any value, any draw or the report format changes it.
+FIXED_SEED_REPORT_SHA256 = "0210a977479fb0f1f10eb7a660db27bec7a8e53937f12672c9a7c9464b72bf7e"
+
+CAP = cli._NAIVE_INDEX_CAP
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("the command did work it should have refused")
 
 
 @contextmanager
@@ -58,6 +74,14 @@ class TestTerm:
         rendered = capsys.readouterr().out.strip()
         expected = term_fast(Params("-2/3", 5, "1/7"), SequenceKind.V, 11)
         assert rendered == str(expected)
+
+    @pytest.mark.parametrize("n", [CAP + 1, -(CAP + 1)])
+    def test_naive_cap_exit_2(
+        self, n: int, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        monkeypatch.setattr(cli, "term_fast", refuse_work)
+        assert main(["term", "--seq", "fibonacci", "--method", "naive", "-n", str(n)]) == 2
+        assert "refusing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["naive", "matrix", "doubling"])
     def test_methods_agree(self, method: str, capsys: pytest.CaptureFixture[str]) -> None:
@@ -115,6 +139,20 @@ class TestGen:
     def test_reversed_range_exit_2(self) -> None:
         assert main(["gen", "--seq", "fibonacci", "--from", "5", "--to", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        ("start", "stop"), [(0, CAP + 1), (-(CAP + 1), 0)]
+    )
+    def test_cap_exit_2(
+        self,
+        start: int,
+        stop: int,
+        monkeypatch: pytest.MonkeyPatch,
+        capsys: pytest.CaptureFixture[str],
+    ) -> None:
+        monkeypatch.setattr(cli, "term_range", refuse_work)
+        assert main(["gen", "--seq", "fibonacci", "--from", str(start), "--to", str(stop)]) == 2
+        assert "refusing" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_all_suite_passes(self, capsys: pytest.CaptureFixture[str]) -> None:
@@ -142,6 +180,11 @@ class TestVerify:
         first = capsys.readouterr().out
         main(["verify", "--suite", "l2", "--samples", "6", "--seed", "3", "--report", "json"])
         assert capsys.readouterr().out == first
+
+    def test_fixed_seed_report_digest(self, capsys: pytest.CaptureFixture[str]) -> None:
+        assert main(["verify", "--suite", "all", "--seed", "7", "--report", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIXED_SEED_REPORT_SHA256
 
     def test_bogus_suite_exit_2(self) -> None:
         assert main(["verify", "--suite", "bogus"]) == 2
@@ -260,3 +303,17 @@ class TestTopLevel:
     def test_help_exit_0(self, capsys: pytest.CaptureFixture[str]) -> None:
         assert main(["--help"]) == 0
         assert "term" in capsys.readouterr().out
+
+    def test_module_entry_point(self) -> None:
+        src = str(Path(biperiodic.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run(
+            [sys.executable, "-m", "biperiodic", "term", "--seq", "fibonacci", "-n", "10"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "55"

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biperiodic import identities
 from biperiodic.core import (
+    DegenerateParametersError,
     Params,
     SequenceKind,
+    TermTable,
     chi,
     discriminant,
     initial_pair,
@@ -27,6 +32,10 @@ from biperiodic.core import (
 from conftest import P_STAR, random_params
 
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+nonzero = rationals.filter(lambda x: x != 0)
+points = st.builds(Params, nonzero, nonzero, nonzero, rationals, rationals)
 
 
 class TestParams:
@@ -208,3 +217,83 @@ class TestKindBridges:
             assert w_from_u(p, n) == term_naive(p, W, n)
             assert v_from_u(p, n) == term_naive(p, V, n)
             assert negative_term(p, U, n) == term_naive(p, U, -n)
+
+
+def check_outcome(check, p: Params, args: tuple):
+    """A checker's report, or the type of the precondition error it raised."""
+    try:
+        return check(p, *args)
+    except (DegenerateParametersError, identities.SingularSeriesError) as exc:
+        return type(exc)
+
+
+# one call per table-reading checker; several reach negative indices
+MEMO_CHECKS = (
+    (identities.check_u_identity, (3, 9, 5)),
+    (identities.check_uv_identity, (4, 6, 2)),
+    (identities.check_partial_sum, (3, 4, 2, "v")),
+    (identities.check_binomial, (3, 4, 5, "u")),
+    (identities.check_catalan, (4, 3, 5)),
+    (identities.check_square_difference, (7,)),
+)
+
+
+class TestTermTable:
+    """The lazily extended table against the oracle, and the identities memo."""
+
+    @settings(max_examples=20)
+    @given(p=points, order=st.permutations(range(-64, 65)))
+    def test_lookups_in_any_order_match_naive(self, p: Params, order: list[int]) -> None:
+        for kind in SequenceKind:
+            table = TermTable(p, kind)
+            for n in order:
+                assert table[n] == term_naive(p, kind, n)
+
+    def test_shared_tables_under_threads(self) -> None:
+        # more threads than cores walk each fresh table at once, each thread
+        # in its own order, so extensions of one table overlap
+        p = Params("1/2", 3, "-2/5", "1/3", 2)
+        tables = [TermTable(p, W) for _ in range(40)]
+        rng = random.Random(53)
+        orders = [rng.sample(range(-64, 65), 129) for _ in range(8)]
+        seen: list[list[list[Fraction]]] = [[] for _ in orders]
+        barrier = threading.Barrier(len(orders), timeout=10)
+
+        def walk(order: list[int], out: list[list[Fraction]]) -> None:
+            for table in tables:
+                barrier.wait()
+                out.append([table[n] for n in order])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk, args=pair) for pair in zip(orders, seen)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        for order, out in zip(orders, seen):
+            assert out == [[term_naive(p, W, n) for n in order]] * len(tables)
+
+    def test_slice(self) -> None:
+        table = TermTable(P_STAR, W)
+        assert table[5] == 79  # grow the window before slicing across it
+        assert table[-4:6] == [term_naive(P_STAR, W, n) for n in range(-4, 6)]
+        assert table[2:2] == []
+        with pytest.raises(ValueError):
+            table[:3]
+
+    @settings(max_examples=15)
+    @given(p=points, q=points)
+    def test_memo_keeps_points_apart(self, p: Params, q: Params) -> None:
+        fresh = {}
+        for point in (p, q):
+            for check, args in MEMO_CHECKS:
+                identities._tables.cache_clear()
+                fresh[point, check] = check_outcome(check, point, args)
+        for check, args in MEMO_CHECKS:
+            for point in (p, q):
+                assert check_outcome(check, point, args) == fresh[point, check]
