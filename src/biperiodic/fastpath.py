@@ -7,29 +7,35 @@ Two independent fast routes are provided next to the linear-time oracle:
 * ``doubling`` -- index doubling on the pair (u(n), u(n+1)), driven by the
   addition identities of the u-sequence.
 
+Both routes run on Python ints and build one Fraction per result.  Pick
+integers lam, mu such that lam*a, mu*b and lam*mu*c are integers.  Then for
+every kind and every integer n
+
+    x(n; a, b, c) = x'(n) / (lam^zeta(n+1) (lam mu)^floor((n-1)/2) m),
+
+where x' is the same kind at the integer point (A, B, C) = (lam a, mu b,
+lam mu c) with the initial pair (0, 1), (2, B) or (M w0, M mu w1), and m is
+1, mu or mu*M for U, V and W (M clears the denominators of w0 and mu w1).
+(lam mu)^floor((n-1)/2) is the denominator the terms actually carry, so the
+division is done once, at the end, on a numerator already nearly coprime to
+it.  Negative indices use the reflection formula at the integer point, whose
+denominator is (-C)^|n|; its powers and those of the scale are summed as
+exponents over a pairwise coprime base of the small integers lam, mu, |C|
+and m, so shared factors cancel before the one ``Fraction(num, den)``.
+
 Both must agree with the oracle exactly, on every input; the test suite
-enforces the three-way agreement.  Negative indices always route through the
-positive-index fast path plus the closed reflection formulas, so the backward
-recurrence stays oracle-only.
+enforces the three-way agreement.  The backward recurrence and the closed
+reflection formulas of :mod:`biperiodic.core` stay oracle-only.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 
-from .core import (
-    Params,
-    SequenceKind,
-    initial_pair,
-    reflect_u,
-    reflect_v,
-    reflect_w,
-    term_naive,
-    v_from_u_terms,
-    w_from_u_terms,
-)
-from .exact import Mat2, OpCounter, Rational, mat_pow
+from .core import Params, SequenceKind, term_naive
+from .exact import OpCounter, Rational
 
 __all__ = [
     "Method",
@@ -47,48 +53,199 @@ class Method(Enum):
     DOUBLING = "doubling"
 
 
+class _IntegerPoint:
+    """The integer point (a, b, c) = (lam a, mu b, lam mu c) of one kind.
+
+    (x0, x1) is the kind's integer initial pair there, and m the constant
+    part of the scale: 1 for U, mu for V, mu*M for W.  A plain slotted class,
+    because a dataclass adds about 3 ms to each import from source.
+    """
+
+    __slots__ = ("lam", "mu", "m", "a", "b", "c", "x0", "x1")
+
+    def __init__(
+        self, lam: int, mu: int, m: int, a: int, b: int, c: int, x0: int, x1: int
+    ) -> None:
+        self.lam, self.mu, self.m = lam, mu, m
+        self.a, self.b, self.c = a, b, c
+        self.x0, self.x1 = x0, x1
+
+
+def _integer_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
+    lam = p.a.denominator
+    mu = lcm(p.b.denominator, p.c.denominator // gcd(p.c.denominator, lam))
+    a = p.a.numerator
+    b = p.b.numerator * (mu // p.b.denominator)
+    c = p.c.numerator * (lam * mu // p.c.denominator)
+    if kind is SequenceKind.U:
+        return _IntegerPoint(lam, mu, 1, a, b, c, 0, 1)
+    if kind is SequenceKind.V:
+        return _IntegerPoint(lam, mu, mu, a, b, c, 2, b)
+    w1 = mu * p.w1
+    big_m = lcm(p.w0.denominator, w1.denominator)
+    x0 = p.w0.numerator * (big_m // p.w0.denominator)
+    x1 = w1.numerator * (big_m // w1.denominator)
+    return _IntegerPoint(lam, mu, mu * big_m, a, b, c, x0, x1)
+
+
+def _exact_div(x: int, d: int) -> int:
+    quotient, remainder = divmod(x, d)
+    if remainder:
+        raise ArithmeticError(f"inexact division by {d} at an integer point")
+    return quotient
+
+
+def _coprime_base(values: tuple[int, ...]) -> list[int]:
+    """Pairwise coprime integers > 1 whose powers multiply out to each value.
+
+    Gcd refinement: any two elements with a common factor g are replaced by
+    g and their cofactors until none is left, so nothing is ever factored.
+    """
+    base: list[int] = []
+    pending = [v for v in values if v > 1]
+    while pending:
+        x = pending.pop()
+        for i, q in enumerate(base):
+            g = gcd(x, q)
+            if g > 1:
+                del base[i]
+                pending.extend(y for y in (g, q // g, x // g) if y > 1)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _valuation(x: int, q: int) -> int:
+    count = 0
+    while x % q == 0:
+        x //= q
+        count += 1
+    return count
+
+
+def _fraction(pt: _IntegerPoint, n: int, numer: int) -> Rational:
+    """x(n) as one Fraction, given x'(n) = numer / (-c)^max(-n, 0) at the integer point.
+
+    The powers in lam^zeta(n+1) (lam mu)^floor((n-1)/2) m (-c)^max(-n, 0),
+    some of them negative, are summed as exponents over a coprime base, so
+    the factors they share cancel before any big product is formed; the
+    constructor's gcd then takes what is left.
+    """
+    half, k = (n - 1) // 2, max(-n, 0)
+    powers = ((pt.lam, (n + 1) % 2 + half), (pt.mu, half), (abs(pt.c), k), (pt.m, 1))
+    if k % 2 and pt.c > 0:  # (-c)^k < 0
+        numer = -numer
+    num, den = numer, 1
+    for q in _coprime_base((pt.lam, pt.mu, abs(pt.c), pt.m)):
+        exponent = sum(e * _valuation(x, q) for x, e in powers)
+        if exponent > 0:
+            den *= q**exponent
+        elif exponent < 0:
+            num *= q**-exponent
+    return Fraction(num, den)
+
+
+def _times_ratio(pt: _IntegerPoint, k: int, x: int, counter: OpCounter | None) -> int:
+    """(b/a)^zeta(k) * x, exact when k is odd and x a multiple of an even-index u-term."""
+    if k % 2 == 0:
+        return x
+    if counter is not None:
+        counter.add(2)
+    return _exact_div(pt.b * x, pt.a)
+
+
+def _from_u(pt: _IntegerPoint, k: int, u_prev: int, u_k: int, counter: OpCounter | None) -> int:
+    """x'(k) = x1 u'(k) + c x0 (b/a)^zeta(k) u'(k-1) for k >= 1."""
+    if counter is not None:
+        counter.add(3)
+    return pt.x1 * u_k + _times_ratio(pt, k, pt.c * pt.x0 * u_prev, counter)
+
+
+def _reflect(pt: _IntegerPoint, k: int, u_k: int, u_next: int, counter: OpCounter | None) -> int:
+    """(-c)^k x'(-k) = (b/a)^zeta(k) x0 u'(k+1) - x1 u'(k) for k >= 1."""
+    if counter is not None:
+        counter.add(2)
+    return _times_ratio(pt, k, pt.x0 * u_next, counter) - pt.x1 * u_k
+
+
+def _u_pair(pt: _IntegerPoint, n: int, counter: OpCounter | None) -> tuple[int, int]:
+    """(u'(n), u'(n+1)) at the integer point for n >= 0, by index doubling.
+
+    The walk starts at (u'(1), u'(2)) = (1, a), because u'(-1) = 1/c is not
+    an integer.  One level maps the pair at k to the pair at 2k:
+
+        u(2k)   = u(k) (2 u(k+1) - chi(k+1) u(k)),
+        u(2k+1) = (b/a)^zeta(k) u(k+1)^2 + (b/a)^zeta(k+1) c u(k)^2,
+
+    the first because c u(k-1) = u(k+1) - chi(k+1) u(k).  Every even-index
+    term is a multiple of a, so the division by a is exact.
+    """
+    if n == 0:
+        return 0, 1
+    a, b, c = pt.a, pt.b, pt.c
+    u_k, u_k1 = 1, a
+    odd = True  # parity of the index k of u_k
+    for bit in bin(n)[3:]:
+        if odd:
+            u_even = u_k * (2 * u_k1 - a * u_k)
+            u_odd = _exact_div(b * (u_k1 * u_k1), a) + c * (u_k * u_k)
+        else:
+            u_even = u_k * (2 * u_k1 - b * u_k)
+            u_odd = u_k1 * u_k1 + _exact_div(b * c * (u_k * u_k), a)
+        if counter is not None:
+            counter.add(7)
+        u_k, u_k1 = u_even, u_odd
+        odd = bit == "1"
+        if odd:
+            u_k, u_k1 = u_k1, a * u_k1 + c * u_k
+            if counter is not None:
+                counter.add(2)
+    return u_k, u_k1
+
+
 def uv_doubling(
     p: Params, n: int, counter: OpCounter | None = None
 ) -> tuple[Rational, Rational]:
     """The pair (u(n), u(n+1)) in O(log n) multiplications, n >= 0.
 
-    One halving level maps (u(k), u(k+1)) to the pair at index 2k:
-
-        u(2k)   = u(k) * (u(k+1) + c * u(k-1)),
-        u(2k+1) = (b/a)^zeta(k) u(k+1)^2 + (b/a)^zeta(k+1) c u(k)^2,
-
-    with u(k-1) recovered from one recurrence step; a set bit then advances
-    the pair by a single forward step.  Bits are consumed most significant
-    first.  The counter, when given, accrues the exact number of rational
-    multiplications/divisions performed.
+    The pair is doubled on ints at the integer point (see the module
+    docstring and ``_u_pair``), then each term is divided by its scale as one
+    Fraction.  The counter, when given, accrues the exact number of integer
+    multiplications and divisions of the walk.
     """
     if n < 0:
         raise ValueError("doubling is defined for n >= 0")
-    u_k: Rational = Fraction(0)
-    u_k1: Rational = Fraction(1)
+    pt = _integer_point(p, SequenceKind.U)
+    u_n, u_next = _u_pair(pt, n, counter)
+    return _fraction(pt, n, u_n), _fraction(pt, n + 1, u_next)
+
+
+def term_doubling(
+    p: Params, kind: SequenceKind, n: int, counter: OpCounter | None = None
+) -> Rational:
+    """Term at any integer index via pair doubling on the u-sequence.
+
+    x'(k) for k >= 1 combines u'(k-1) and u'(k); x'(-k) reflects u'(k) and
+    u'(k+1).  Both pairs come from ``_u_pair`` on ints at the integer point,
+    and the result is one Fraction (see the module docstring).
+    """
+    pt = _integer_point(p, kind)
+    k = abs(n)
     if n == 0:
-        return u_k, u_k1
-    ratio = p.b / p.a
-    if counter is not None:
-        counter.add(1)
-    k = 0
-    for bit in bin(n)[2:]:
-        step_coeff = p.a if k % 2 else p.b
-        u_prev = (u_k1 - step_coeff * u_k) / p.c
-        u_even = u_k * (u_k1 + p.c * u_prev)
-        if k % 2:
-            u_odd = ratio * (u_k1 * u_k1) + p.c * (u_k * u_k)
-        else:
-            u_odd = u_k1 * u_k1 + ratio * (p.c * (u_k * u_k))
-        if counter is not None:
-            counter.add(8)
-        k, u_k, u_k1 = 2 * k, u_even, u_odd
-        if bit == "1":
-            u_k, u_k1 = u_k1, p.a * u_k1 + p.c * u_k
-            k += 1
-            if counter is not None:
-                counter.add(2)
-    return u_k, u_k1
+        numer = pt.x0
+    elif n > 0:
+        numer = _from_u(pt, k, *_u_pair(pt, k - 1, counter), counter)
+    else:
+        numer = _reflect(pt, k, *_u_pair(pt, k, counter), counter)
+    return _fraction(pt, n, numer)
+
+
+def _square(m: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    m11, m12, m21, m22 = m
+    cross = m12 * m21
+    trace = m11 + m22
+    return m11 * m11 + cross, m12 * trace, m21 * trace, m22 * m22 + cross
 
 
 def term_matrix(
@@ -96,62 +253,48 @@ def term_matrix(
 ) -> Rational:
     """Term at any integer index via binary powers of the period-2 transfer matrix.
 
-    P = [[a, c], [1, 0]] [[b, c], [1, 0]] = [[ab + c, ac], [b, c]] maps
-    (x(j+1), x(j)) to (x(j+3), x(j+2)) for odd j.  One single step takes the
-    kind's initial pair to (x(2), x(1)), and P^m with m = (k-1)//2 takes that
-    to (x(2m+2), x(2m+1)), so x(k) for k >= 1 is read from the top row when
-    k is even and from the bottom row when k is odd.  Negative indices use
-    the reflection formulas: u(-k) and v(-k) reflect the term at k, and
-    w(-k) reflects u(k) and u(k+1), the second read from the other row or
-    one more step.  No entry is rescaled, so positive indices need no division.
+    At the integer point, P = [[a, c], [1, 0]] [[b, c], [1, 0]] = [[ab + c,
+    ac], [b, c]] maps (x'(j+1), x'(j)) to (x'(j+3), x'(j+2)) for odd j.  One
+    single step takes the initial pair to (x'(2), x'(1)), and P^e with
+    e = (k-1)//2 takes that to (x'(2e+2), x'(2e+1)), so x'(k) for k >= 1 is
+    read from the top row when k is even and from the bottom row when k is
+    odd.  P^e is built most significant bit first: each level squares the
+    power and a set bit multiplies it by P, whose entries are small.  x'(-k)
+    reflects u'(k) and u'(k+1), read from both rows of P^e applied to the
+    u-pair, the second by one more step when k is even.  The result is one
+    Fraction (see the module docstring).
     """
+    pt = _integer_point(p, kind)
     if n == 0:
-        return initial_pair(p, kind)[0]
-    if n < 0 and kind is not SequenceKind.W:
-        reflect = reflect_u if kind is SequenceKind.U else reflect_v
-        return reflect(p, -n, term_matrix(p, kind, -n, counter))
+        return _fraction(pt, 0, pt.x0)
+    a, b, c = pt.a, pt.b, pt.c
     k = abs(n)
-    x0, x1 = initial_pair(p, kind if n > 0 else SequenceKind.U)
-    x2 = p.a * x1 + p.c * x0
-    transfer = Mat2(p.a * p.b + p.c, p.a * p.c, p.b, p.c)
-    power = mat_pow(transfer, (k - 1) // 2, counter)
-    if n > 0:
+    x0, x1 = (pt.x0, pt.x1) if n > 0 else (0, 1)
+    x2 = a * x1 + c * x0
+    ab_c, ac = a * b + c, a * c
+    power = (1, 0, 0, 1)
+    for bit in bin((k - 1) // 2)[2:]:
+        power = _square(power)
+        if bit == "1":
+            m11, m12, m21, m22 = power
+            power = (m11 * ab_c + m12 * b, m11 * ac + m12 * c,
+                     m21 * ab_c + m22 * b, m21 * ac + m22 * c)
         if counter is not None:
-            counter.add(6)
-        if k % 2:
-            return power.m21 * x2 + power.m22 * x1
-        return power.m11 * x2 + power.m12 * x1
-    top = power.m11 * x2 + power.m12 * x1
-    bottom = power.m21 * x2 + power.m22 * x1
+            counter.add(13 if bit == "1" else 5)
+    m11, m12, m21, m22 = power
+    top = m11 * x2 + m12 * x1
+    bottom = m21 * x2 + m22 * x1
     if counter is not None:
-        counter.add(8 if k % 2 else 10)
+        counter.add(8)  # x2, ab + c, ac and the two rows
+    if n > 0:
+        return _fraction(pt, n, bottom if k % 2 else top)
     if k % 2:
-        return reflect_w(p, k, bottom, top)
-    return reflect_w(p, k, top, p.b * top + p.c * bottom)
-
-
-def term_doubling(
-    p: Params, kind: SequenceKind, n: int, counter: OpCounter | None = None
-) -> Rational:
-    """Term at any integer index via pair doubling on the u-sequence."""
-    if kind is SequenceKind.U:
-        if n >= 0:
-            return uv_doubling(p, n, counter)[0]
-        return reflect_u(p, -n, uv_doubling(p, -n, counter)[0])
-    if kind is SequenceKind.V:
-        if n == 0:
-            return Fraction(2)
-        if n < 0:
-            return reflect_v(p, -n, term_doubling(p, kind, -n, counter))
-        u_prev, u_n = uv_doubling(p, n - 1, counter)
-        return v_from_u_terms(p, n, u_n, u_prev)
-    if n == 0:
-        return p.w0
-    if n < 0:
-        u_n, u_next = uv_doubling(p, -n, counter)
-        return reflect_w(p, -n, u_n, u_next)
-    u_prev, u_n = uv_doubling(p, n - 1, counter)
-    return w_from_u_terms(p, n, u_n, u_prev)
+        u_k, u_next = bottom, top
+    else:
+        u_k, u_next = top, b * top + c * bottom
+        if counter is not None:
+            counter.add(2)
+    return _fraction(pt, n, _reflect(pt, k, u_k, u_next, counter))
 
 
 def term_fast(

@@ -189,6 +189,14 @@ class TestVerify:
     def test_bogus_suite_exit_2(self) -> None:
         assert main(["verify", "--suite", "bogus"]) == 2
 
+    def test_max_index_cap_exit_2(
+        self, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        monkeypatch.setattr(cli, "run_suite", refuse_work)
+        cap = cli._VERIFY_INDEX_CAP
+        assert main(["verify", "--samples", "1", "--max-index", str(cap + 1)]) == 2
+        assert "refusing --max-index" in capsys.readouterr().err
+
     def test_failure_exits_1(self, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]) -> None:
         real = cli.run_suite
 
@@ -317,3 +325,28 @@ class TestTopLevel:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "55"
+
+    def test_closed_pipe_exits_quietly(self) -> None:
+        # the output (about 2.6 MB) is far larger than a pipe's buffer, so
+        # the writer is still writing when the reader closes its end
+        src = str(Path(biperiodic.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "biperiodic", "gen", "--seq", "fibonacci",
+             "--from", "0", "--to", "5000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            lines = [proc.stdout.readline(), proc.stdout.readline()]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert lines == [b"n,value\n", b"0,0\n"]
+        assert err == b""
+        assert code == cli._EXIT_BROKEN_PIPE

@@ -67,6 +67,29 @@ class TestParseRational:
         x = Fraction(num, den)
         assert parse_rational(str(x)) == x
 
+    @given(
+        num=st.integers(-10**80, 10**80),
+        den=st.integers(1, 10**80),
+        spaced=st.booleans(),
+    )
+    def test_roundtrip_big(self, num: int, den: int, spaced: bool) -> None:
+        x = Fraction(num, den)
+        text = str(x).replace("/", " / ") if spaced else str(x)
+        assert parse_rational(text) == x
+
+    @given(
+        whole=st.integers(-10**30, 10**30),
+        digits=st.integers(0, 10**30),
+        exponent=st.integers(-400, 400),
+        form=st.sampled_from(["{w}.{d}", ".{d}", "{w}.", "{w}e{e}", "{w}E{e}", "{w}.{d}e{e}", "{w}/{d}.5"]),
+    )
+    def test_decimal_and_exponent_literals_rejected(
+        self, whole: int, digits: int, exponent: int, form: str
+    ) -> None:
+        text = form.format(w=whole, d=digits, e=exponent)
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
 
 class TestRatPow:
     @given(base=rationals, e=st.integers(0, 12))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,25 @@ def rational_points(draw: st.DrawFn) -> Params:
     a, b = draw(nonzero), draw(nonzero)
     c = -a * b / 4 if draw(st.booleans()) else draw(nonzero)
     return Params(a, b, c, draw(rationals), draw(rationals))
+
+
+# denominators built from shared small primes, so a, b, c, w0 and w1 have
+# composite denominators with common factors (a = 1/6, c = 10/21, ...)
+smooth = (
+    st.lists(st.sampled_from((2, 3, 5, 7)), max_size=5)
+    .map(math.prod)
+    .filter(lambda d: d <= 10**4)
+)
+smooth_rationals = st.builds(Fraction, st.integers(-30, 30), smooth)
+smooth_nonzero = smooth_rationals.filter(lambda x: x != 0)
+
+
+@st.composite
+def smooth_points(draw: st.DrawFn) -> Params:
+    return Params(
+        draw(smooth_nonzero), draw(smooth_nonzero), draw(smooth_nonzero),
+        draw(smooth_rationals), draw(smooth_rationals),
+    )
 
 
 class TestUvDoubling:
@@ -108,3 +128,23 @@ class TestLargeIndex:
         term_doubling(P_STAR, U, 2**20, counter=doubling)
         term_matrix(P_STAR, U, 2**20, counter=matrix)
         assert doubling.muls < matrix.muls
+
+
+class TestIntegerPointScaling:
+    """Both routes evaluate at the scaled integer point and divide once."""
+
+    @given(p=smooth_points(), n=st.integers(-300, 300))
+    def test_shared_factor_denominators(self, p: Params, n: int) -> None:
+        for kind in SequenceKind:
+            expected = term_naive(p, kind, n)
+            for value in (term_doubling(p, kind, n), term_matrix(p, kind, n)):
+                assert value == expected, kind
+                assert math.gcd(value.numerator, value.denominator) == 1
+
+    def test_rational_point_far_out(self) -> None:
+        p = Params(Fraction(1, 2), 3, Fraction(-2, 5), 1, 1)
+        for kind in SequenceKind:
+            for n in (4096, 4097, -4096, -4097):
+                expected = term_naive(p, kind, n)
+                assert term_doubling(p, kind, n) == expected, (kind, n)
+                assert term_matrix(p, kind, n) == expected, (kind, n)
