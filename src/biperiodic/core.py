@@ -17,14 +17,18 @@ everything else about an instance lives in :class:`Params`.
 This module is the slow, obviously-correct route: terms are produced by
 stepping the recurrence |n| times.  The logarithmic-time routes in
 :mod:`biperiodic.fastpath` are checked against it.  :func:`term_naive` walks
-from the initial pair on every call and is the anchor; :class:`TermTable`
-keeps the terms it has walked, so repeated lookups at one parameter point
-cost only the steps not yet taken, and :func:`term_range` is a slice of a
-fresh table.
+from the initial pair on every call, on ``Fraction`` values, and is the anchor;
+:class:`TermTable` keeps the terms it has walked, so repeated lookups at one
+parameter point cost only the steps not yet taken, and :func:`term_range` is
+a slice of a fresh table.  A table walks upward on Python ints, scaled by the
+known denominator m d^k of index k (d = lcm of the denominators of a, b, c;
+m = lcm of those of the initial pair), and builds one ``Fraction`` per index,
+the first time that index is read; it walks downward on ``Fraction`` values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -157,38 +161,58 @@ class TermTable:
     of terms at lo..stop-1.  A lookup past the walked window extends it by
     the forward step (upward) or the backward step (downward), so every term
     is computed once per table however often it is read.
+
+    The upward walk runs on Python ints.  With d = lcm(den a, den b, den c)
+    and m = lcm(den x(0), den x(1)), the term is x(k) = N_k / (m d^k), where
+
+        N_k = (chi(k) d) N_{k-1} + (c d^2) N_{k-2}
+
+    has integer coefficients, so no step reduces a fraction.  The one
+    ``Fraction`` of an index k >= 0 is built the first time it is read and
+    kept.  The downward walk divides by c at every step, so it stays on
+    ``Fraction`` values.
     """
 
     def __init__(self, p: Params, kind: SequenceKind) -> None:
         self.params = p
         t0, t1 = initial_pair(p, kind)
-        self._terms = {0: t0, 1: t1}
+        d = math.lcm(p.a.denominator, p.b.denominator, p.c.denominator)
+        m = math.lcm(t0.denominator, t1.denominator)
+        self._d, self._m = d, m
+        self._steps = (int(p.a * d), int(p.b * d), int(p.c * d * d))
+        self._nums = {0: int(t0 * m), 1: int(t1 * m * d)}  # N_k for 0 <= k <= hi
+        self._terms = {0: t0, 1: t1}  # built Fractions, at every lo <= k <= 1
         self._lo, self._hi = 0, 1
 
     def __getitem__(self, key: int | slice) -> Rational | list[Rational]:
         if isinstance(key, slice):
             if key.start is None or key.stop is None or key.step is not None:
                 raise ValueError("term slices need a start and a stop and no step")
-            if key.start < key.stop:
-                self[key.start], self[key.stop - 1]  # walk to both ends
-            return [self._terms[k] for k in range(key.start, key.stop)]
+            return [self[k] for k in range(key.start, key.stop)]
+        term = self._terms.get(key)
+        if term is not None:
+            return term
+        if key < 0:
+            if key < self._lo:
+                self._extend_down(key)
+            return self._terms[key]
         if key > self._hi:
             self._extend_up(key)
-        elif key < self._lo:
-            self._extend_down(key)
-        return self._terms[key]
+        term = Fraction(self._nums[key], self._m * self._d**key)
+        self._terms[key] = term
+        return term
 
-    # Each extender reads its bound once and moves it only after the term at
+    # Each extender reads its bound once and moves it only after the value at
     # the new bound is stored, so every index between the bounds always has
-    # its term.  Two callers extending the same table at once therefore only
+    # its value.  Two callers extending the same table at once therefore only
     # rewrite equal values.
 
     def _extend_up(self, n: int) -> None:
-        p, terms, hi = self.params, self._terms, self._hi
-        prev, cur = terms[hi - 1], terms[hi]
+        (even, odd, cdd), nums, hi = self._steps, self._nums, self._hi
+        prev, cur = nums[hi - 1], nums[hi]
         for k in range(hi + 1, n + 1):
-            prev, cur = cur, chi(p, k) * cur + p.c * prev
-            terms[k] = cur
+            prev, cur = cur, (odd if k % 2 else even) * cur + cdd * prev
+            nums[k] = cur
             self._hi = k
 
     def _extend_down(self, n: int) -> None:

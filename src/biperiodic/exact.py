@@ -54,10 +54,16 @@ class OpCounter:
 def as_rational(value: Rational | int | str) -> Rational:
     """Coerce an int/str/Fraction to ``Rational``; floats are refused.
 
+    A value whose type is exactly ``Fraction`` is returned as it is, not
+    copied (Fractions are immutable); ints, strings and subclasses of
+    ``Fraction`` go through the ``Fraction`` constructor.
+
     Floats carry binary rounding dust, so accepting them would silently break
     the exactness contract.  Callers holding a float must decide for
     themselves what exact value they meant.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"float {value!r} is not exact; pass int, Fraction, or a 'p/q' string"

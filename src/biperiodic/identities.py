@@ -34,8 +34,16 @@ precondition (nonzero discriminant, nonzero series constant) fails.
 The checkers read u, v and w terms from one :class:`~biperiodic.core.TermTable`
 per sequence, held in a one-entry memo keyed by the parameter point.
 ``run_suite`` checks one point per sample, so every check of a sample reads
-the same three tables, and each term is walked once per sample.  The matrix
-series of :func:`sum_oracle` stays independent of the tables.
+the same three tables, and each term is walked once per sample.  The memo
+also holds the point's constants: b/a and a/b (the parity weights (b/a)^e
+and (a/b)^e only take e = 0 or 1, so they are lookups), the discriminant and
+q = D/a^2.  The matrix series of :func:`sum_oracle` stays independent of the
+tables.
+
+A SUM check sums only its own sequence: one direct sum, one
+:func:`sum_constants`, and one corrected and one printed closed form.  The
+pair-returning :func:`sum_direct` and :func:`sum_closed` run the same
+per-sequence helpers for u and for v.
 """
 
 from __future__ import annotations
@@ -123,8 +131,37 @@ class IdentityId:
         return _FAMILY_ORDER[self.family], "" if self.sub is None else str(self.sub)
 
 
+def _digits(n: int) -> str:
+    """Decimal digits of n, split in halves while ``str`` refuses them.
+
+    Python limits int -> str conversions to a number of digits (4300 by
+    default); this renders integers of any size without touching that
+    process-wide limit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _digits(-n)
+    half = n.bit_length() * 1233 >> 13  # about half the digits: log10(2) ~ 1233/4096
+    high, low = divmod(n, 10**half)
+    return _digits(high) + _digits(low).zfill(half)
+
+
+def _text(x: Rational) -> str:
+    """``str(x)`` for rationals of any size."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if x.denominator == 1:
+        return _digits(x.numerator)
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
+
+
 def _params_dict(p: Params) -> dict[str, str]:
-    return {"a": str(p.a), "b": str(p.b), "c": str(p.c), "w0": str(p.w0), "w1": str(p.w1)}
+    return {name: _text(getattr(p, name)) for name in ("a", "b", "c", "w0", "w1")}
 
 
 @dataclass(frozen=True)
@@ -152,12 +189,12 @@ class IdentityReport:
             "id": str(self.id),
             "params": _params_dict(self.params),
             "indices": dict(self.indices),
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
+            "lhs": _text(self.lhs),
+            "rhs": _text(self.rhs),
             "pass": self.passed,
         }
         if self.printed_form_value is not None:
-            payload["printed_form_value"] = str(self.printed_form_value)
+            payload["printed_form_value"] = _text(self.printed_form_value)
         if self.printed_form_matches is not None:
             payload["printed_form_matches"] = self.printed_form_matches
         return payload
@@ -176,20 +213,30 @@ class SumConstants:
     d_corrected: Rational
 
 
-def _ba(p: Params, e: int) -> Rational:
-    """(b/a)^e for small parity-product exponents."""
-    return rat_pow(p.b / p.a, e)
+_ONE = Fraction(1)
 
 
-def _ab(p: Params, e: int) -> Rational:
-    """(a/b)^e for small parity-product exponents."""
-    return rat_pow(p.a / p.b, e)
+class _Point:
+    """The term tables and the scalar constants of one parameter point.
+
+    ``ba[e]`` and ``ab[e]`` are (b/a)^e and (a/b)^e for the exponents e = 0
+    and 1, the only ones the parity products of the identities take.
+    """
+
+    __slots__ = ("u", "v", "w", "ba", "ab", "disc", "q")
+
+    def __init__(self, p: Params) -> None:
+        self.u, self.v, self.w = (TermTable(p, kind) for kind in SequenceKind)
+        self.ba = (_ONE, p.b / p.a)
+        self.ab = (_ONE, p.a / p.b)
+        self.disc = discriminant(p)
+        self.q = self.disc / (p.a * p.a)
 
 
 @lru_cache(maxsize=1)
-def _tables(p: Params) -> tuple[TermTable, TermTable, TermTable]:
-    """The u, v and w term tables of the most recently checked point."""
-    return tuple(TermTable(p, kind) for kind in SequenceKind)
+def _tables(p: Params) -> _Point:
+    """The term tables and constants of the most recently checked point."""
+    return _Point(p)
 
 
 def _report(
@@ -212,26 +259,24 @@ def check_u_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
         raise ValueError(f"L1 has sub-identities 1..4, not {sub!r}")
     if n < 1 or (sub != 1 and m < 1):
         raise ValueError("indices must be >= 1")
-    u, _, _ = _tables(p)
+    pt = _tables(p)
+    u, ba = pt.u, pt.ba
     if sub == 1:
-        lhs = _ab(p, zeta(n)) * u[n] ** 2 - _ab(p, zeta(n + 1)) * u[n - 1] * u[n + 1]
-        rhs = (p.a / p.b) * rat_pow(-p.c, n - 1)
+        lhs = pt.ab[zeta(n)] * u[n] ** 2 - pt.ab[zeta(n + 1)] * u[n - 1] * u[n + 1]
+        rhs = pt.ab[1] * rat_pow(-p.c, n - 1)
         return _report(Family.L1, sub, p, {"n": n}, lhs, rhs)
     if sub == 2:
-        lhs = _ba(p, zeta(m * n + n)) * u[m] * u[n + 1] + _ba(
-            p, zeta(m * n + m)
-        ) * p.c * u[n] * u[m - 1]
+        lhs = ba[zeta(m * n + n)] * u[m] * u[n + 1] + ba[zeta(m * n + m)] * p.c * u[n] * u[m - 1]
         rhs = u[n + m]
     elif sub == 3:
         # exponents from comparing U^n (U^m)^-1 = U^(n-m) entrywise
-        lhs = _ba(p, zeta(m * n + m)) * u[n] * u[m + 1] - _ba(
-            p, zeta(m * n + n)
-        ) * u[m] * u[n + 1]
+        lhs = ba[zeta(m * n + m)] * u[n] * u[m + 1] - ba[zeta(m * n + n)] * u[m] * u[n + 1]
         rhs = rat_pow(-p.c, m) * u[n - m]
     else:
-        lhs = _ba(p, zeta(m * n + n)) * u[m] * u[n - m + 1] + p.c * _ba(
-            p, zeta(m * n)
-        ) * u[m - 1] * u[n - m]
+        lhs = (
+            ba[zeta(m * n + n)] * u[m] * u[n - m + 1]
+            + p.c * ba[zeta(m * n)] * u[m - 1] * u[n - m]
+        )
         rhs = u[n]
     return _report(Family.L1, sub, p, {"m": m, "n": n}, lhs, rhs)
 
@@ -246,33 +291,33 @@ def check_uv_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
         raise ValueError(f"L2 has sub-identities 1..7, not {sub!r}")
     if n < 1 or (sub != 1 and m < 1):
         raise ValueError("indices must be >= 1")
-    if discriminant(p) == 0:
+    pt = _tables(p)
+    if pt.disc == 0:
         raise DegenerateParametersError("discriminant is zero for these parameters")
-    q = discriminant(p) / (p.a * p.a)
-    u, v, _ = _tables(p)
+    u, v, q = pt.u, pt.v, pt.q
     if sub == 1:
         lhs = v[n] ** 2 - q * u[n] ** 2
-        rhs = 4 * _ba(p, zeta(n)) * rat_pow(-p.c, n)
+        rhs = 4 * pt.ba[zeta(n)] * rat_pow(-p.c, n)
         return _report(Family.L2, sub, p, {"n": n}, lhs, rhs)
     zz = zeta(n) * zeta(m)
     if sub == 2:
         lhs = v[m] * v[n] + q * u[m] * u[n]
-        rhs = 2 * _ba(p, zz) * v[n + m]
+        rhs = 2 * pt.ba[zz] * v[n + m]
     elif sub == 3:
         lhs = u[m] * v[n] + u[n] * v[m]
-        rhs = 2 * _ba(p, zz) * u[n + m]
+        rhs = 2 * pt.ba[zz] * u[n + m]
     elif sub == 4:
         lhs = v[m] * v[n] - q * u[m] * u[n]
-        rhs = 2 * rat_pow(-p.c, m) * _ba(p, zz) * v[n - m]
+        rhs = 2 * rat_pow(-p.c, m) * pt.ba[zz] * v[n - m]
     elif sub == 5:
         lhs = u[n] * v[m] - u[m] * v[n]
-        rhs = 2 * rat_pow(-p.c, m) * _ba(p, zz) * u[n - m]
+        rhs = 2 * rat_pow(-p.c, m) * pt.ba[zz] * u[n - m]
     elif sub == 6:
         lhs = v[n + m] + rat_pow(-p.c, m) * v[n - m]
-        rhs = _ab(p, zz) * v[m] * v[n]
+        rhs = pt.ab[zz] * v[m] * v[n]
     else:
         lhs = u[n + m] + rat_pow(-p.c, m) * u[n - m]
-        rhs = _ab(p, zz) * u[n] * v[m]
+        rhs = pt.ab[zz] * u[n] * v[m]
     return _report(Family.L2, sub, p, {"m": m, "n": n}, lhs, rhs)
 
 
@@ -285,8 +330,9 @@ def check_cassini(p: Params, n: int) -> IdentityReport:
     """Cassini-style quadratic for w at index n >= 1 (family CASSINI_W)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, _, w = _tables(p)
-    lhs = _ba(p, zeta(n)) * w[n - 1] * w[n + 1] - _ba(p, zeta(n + 1)) * w[n] ** 2
+    pt = _tables(p)
+    w, ba = pt.w, pt.ba
+    lhs = ba[zeta(n)] * w[n - 1] * w[n + 1] - ba[zeta(n + 1)] * w[n] ** 2
     rhs = rat_pow(Fraction(-1), n) * rat_pow(p.c, n - 1) * _w_invariant(p)
     return _report(Family.CASSINI_W, None, p, {"n": n}, lhs, rhs)
 
@@ -295,11 +341,13 @@ def check_addition(p: Params, n: int, q: int) -> IdentityReport:
     """Index-addition rule w(n+q) = f(u(n), u(n-1), w(q), w(q+1)); n, q >= 1."""
     if n < 1 or q < 1:
         raise ValueError("indices must be >= 1")
-    u, _, w = _tables(p)
+    pt = _tables(p)
+    u, w, ba = pt.u, pt.w, pt.ba
     lhs = w[n + q]
-    rhs = _ba(p, zeta(n + 1) * zeta(q)) * u[n] * w[q + 1] + p.c * _ba(
-        p, zeta(n) * zeta(q + 1)
-    ) * u[n - 1] * w[q]
+    rhs = (
+        ba[zeta(n + 1) * zeta(q)] * u[n] * w[q + 1]
+        + p.c * ba[zeta(n) * zeta(q + 1)] * u[n - 1] * w[q]
+    )
     return _report(Family.ADDITION, None, p, {"n": n, "q": q}, lhs, rhs)
 
 
@@ -307,13 +355,12 @@ def check_catalan(p: Params, n: int, pp: int, q: int) -> IdentityReport:
     """Catalan-style product difference for w; all three indices >= 1."""
     if n < 1 or pp < 1 or q < 1:
         raise ValueError("indices must be >= 1")
-    u, _, w = _tables(p)
+    pt = _tables(p)
+    u, w, ba = pt.u, pt.w, pt.ba
     zpq = zeta(pp) * zeta(q)
-    lhs = _ba(p, zeta(n) * zpq) * w[n + pp] * w[n + q] - _ba(
-        p, zeta(n + 1) * zpq
-    ) * w[n] * w[n + pp + q]
+    lhs = ba[zeta(n) * zpq] * w[n + pp] * w[n + q] - ba[zeta(n + 1) * zpq] * w[n] * w[n + pp + q]
     rhs = (
-        _ba(p, zeta(n) * zeta(pp + 1) * zeta(q + 1))
+        ba[zeta(n) * zeta(pp + 1) * zeta(q + 1)]
         * rat_pow(-p.c, n)
         * u[pp]
         * u[q]
@@ -326,11 +373,10 @@ def check_product_sum(p: Params, m: int, n: int) -> IdentityReport:
     """Product-sum symmetry for w; m, n >= 1 (family PRODSUM)."""
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
-    _, _, w = _tables(p)
-    lhs = _ba(p, zeta(m * n + n)) * w[n + 1] * w[m] + _ba(
-        p, zeta(m * n + m)
-    ) * p.c * w[n] * w[m - 1]
-    rhs = p.w1 * w[m + n] + _ba(p, zeta(m + n)) * p.c * p.w0 * w[m + n - 1]
+    pt = _tables(p)
+    w, ba = pt.w, pt.ba
+    lhs = ba[zeta(m * n + n)] * w[n + 1] * w[m] + ba[zeta(m * n + m)] * p.c * w[n] * w[m - 1]
+    rhs = p.w1 * w[m + n] + ba[zeta(m + n)] * p.c * p.w0 * w[m + n - 1]
     return _report(Family.PRODSUM, None, p, {"m": m, "n": n}, lhs, rhs)
 
 
@@ -338,9 +384,10 @@ def check_square_sum(p: Params, n: int) -> IdentityReport:
     """Sum-of-squares specialization of PRODSUM at m = n+1 (family COR31)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, _, w = _tables(p)
-    lhs = _ba(p, zeta(n)) * w[n + 1] ** 2 + _ba(p, zeta(n + 1)) * p.c * w[n] ** 2
-    rhs = p.w1 * w[2 * n + 1] + (p.b / p.a) * p.c * p.w0 * w[2 * n]
+    pt = _tables(p)
+    w, ba = pt.w, pt.ba
+    lhs = ba[zeta(n)] * w[n + 1] ** 2 + ba[zeta(n + 1)] * p.c * w[n] ** 2
+    rhs = p.w1 * w[2 * n + 1] + ba[1] * p.c * p.w0 * w[2 * n]
     return _report(Family.COR31, None, p, {"n": n}, lhs, rhs)
 
 
@@ -348,7 +395,7 @@ def check_square_difference(p: Params, n: int) -> IdentityReport:
     """Difference-of-squares companion of COR31; n >= 1 (family T34)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, _, w = _tables(p)
+    w = _tables(p).w
     lhs = w[n + 1] ** 2 - p.c * p.c * w[n - 1] ** 2
     rhs = (
         rat_pow(p.a, zeta(n))
@@ -362,7 +409,7 @@ def sum_constants(p: Params, m: int) -> SumConstants:
     """Both normalizing constants of the partial-sum closed form at step m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    v_m = _tables(p)[1][m]
+    v_m = _tables(p).v[m]
     z = zeta(m)
     printed = 1 - rat_pow(p.a, z) * v_m + rat_pow(p.a * p.b, z) * rat_pow(-p.c, m)
     corrected = (
@@ -399,6 +446,56 @@ def sum_oracle(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
     return 2 * total.m21, 2 * total.m11
 
 
+# The u-sum weighs u(t) by a^(zeta(t)-1) and the v-sum v(t) by a^zeta(t): each
+# sequence is a table plus that shift of the exponent of a.
+
+
+def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> Rational:
+    """One weighted partial sum by plain term-by-term addition."""
+    total = Fraction(0)
+    for j in range(n + 1):
+        t = m * j + r
+        total += rat_pow(p.a * p.b, t // 2) * rat_pow(p.a, zeta(t) + shift) * xs[t]
+    return total
+
+
+def _closed_sum(
+    p: Params,
+    xs: TermTable,
+    shift: int,
+    m: int,
+    n: int,
+    r: int,
+    consts: SumConstants,
+    corrected: bool,
+) -> Rational | None:
+    """One partial sum from the scalar closed form (see :func:`sum_closed`)."""
+    d = consts.d_corrected if corrected else consts.d_printed
+    if d == 0:
+        if corrected:
+            raise SingularSeriesError(
+                "partial-sum constant det(I - K^m) is zero for this m"
+            )
+        return None
+    bracket_weight = rat_pow(p.a * p.b, m // 2) if corrected else _ONE
+    tail_sign = -1 if corrected else 1
+    top = m * n + m + r
+    zm = zeta(m)
+
+    def bracket(t: int, sign: int) -> Rational:
+        weight = (
+            rat_pow(-p.c, m)
+            * rat_pow(p.a, zm * zeta(t + 1))
+            * rat_pow(p.b, zm * zeta(t))
+        )
+        return xs[t] + sign * bracket_weight * weight * xs[t - m]
+
+    def outer(t: int) -> Rational:
+        return rat_pow(p.a * p.b, t // 2) * rat_pow(p.a, zeta(t) + shift)
+
+    return (outer(r) * bracket(r, -1) - outer(top) * bracket(top, tail_sign)) / d
+
+
 def sum_direct(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
     """Both weighted partial sums by plain term-by-term addition.
 
@@ -406,15 +503,8 @@ def sum_direct(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
     the v-sum carries a^zeta(mj+r) instead.
     """
     _validate_sum_indices(m, n, r)
-    u, v, _ = _tables(p)
-    total_u = Fraction(0)
-    total_v = Fraction(0)
-    for j in range(n + 1):
-        t = m * j + r
-        scale = rat_pow(p.a * p.b, t // 2)
-        total_u += scale * rat_pow(p.a, zeta(t) - 1) * u[t]
-        total_v += scale * rat_pow(p.a, zeta(t)) * v[t]
-    return total_u, total_v
+    pt = _tables(p)
+    return _direct_sum(p, pt.u, -1, m, n, r), _direct_sum(p, pt.v, 0, m, n, r)
 
 
 def sum_closed(
@@ -431,34 +521,11 @@ def sum_closed(
     """
     _validate_sum_indices(m, n, r)
     consts = sum_constants(p, m)
-    d = consts.d_corrected if corrected else consts.d_printed
-    if d == 0:
-        if corrected:
-            raise SingularSeriesError(
-                "partial-sum constant det(I - K^m) is zero for this m"
-            )
+    pt = _tables(p)
+    u_sum = _closed_sum(p, pt.u, -1, m, n, r, consts, corrected)
+    if u_sum is None:
         return None
-    bracket_weight = rat_pow(p.a * p.b, m // 2) if corrected else Fraction(1)
-    tail_sign = -1 if corrected else 1
-    top = m * n + m + r
-    u, v, _ = _tables(p)
-    zm = zeta(m)
-
-    def closed(values: TermTable, diag_shift: int) -> Rational:
-        def bracket(t: int, sign: int) -> Rational:
-            weight = (
-                rat_pow(-p.c, m)
-                * rat_pow(p.a, zm * zeta(t + 1))
-                * rat_pow(p.b, zm * zeta(t))
-            )
-            return values[t] + sign * bracket_weight * weight * values[t - m]
-
-        def outer(t: int) -> Rational:
-            return rat_pow(p.a * p.b, t // 2) * rat_pow(p.a, zeta(t) + diag_shift)
-
-        return (outer(r) * bracket(r, -1) - outer(top) * bracket(top, tail_sign)) / d
-
-    return closed(u, -1), closed(v, 0)
+    return u_sum, _closed_sum(p, pt.v, 0, m, n, r, consts, corrected)
 
 
 def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
@@ -467,16 +534,18 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     ``passed`` requires the direct sum, the matrix-series oracle, and the
     corrected closed form to agree exactly.  The simplified-constant value
     rides along in ``printed_form_value`` and is compared informally.
+    Only the sequence ``seq`` is summed, and the constants are computed once.
     """
     if seq not in ("u", "v"):
         raise ValueError(f"seq must be 'u' or 'v', not {seq!r}")
     _validate_sum_indices(m, n, r)
-    pick = 0 if seq == "u" else 1
-    oracle = sum_oracle(p, m, n, r)[pick]
-    direct = sum_direct(p, m, n, r)[pick]
-    closed_value = sum_closed(p, m, n, r, corrected=True)[pick]
-    printed_pair = sum_closed(p, m, n, r, corrected=False)
-    printed_value = None if printed_pair is None else printed_pair[pick]
+    oracle = sum_oracle(p, m, n, r)[0 if seq == "u" else 1]
+    pt = _tables(p)
+    xs, shift = (pt.u, -1) if seq == "u" else (pt.v, 0)
+    direct = _direct_sum(p, xs, shift, m, n, r)
+    consts = sum_constants(p, m)
+    closed_value = _closed_sum(p, xs, shift, m, n, r, consts, corrected=True)
+    printed_value = _closed_sum(p, xs, shift, m, n, r, consts, corrected=False)
     matches = None if printed_value is None else printed_value == direct
     return IdentityReport(
         IdentityId(Family.SUM, seq),
@@ -517,8 +586,9 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
     if m < 2 or n < 0 or r < 0:
         raise ValueError("binomial expansion needs m >= 2, n >= 0, r >= 0")
     target = m * n + r
-    u, v, _ = _tables(p)
-    xs = u if seq == "u" else v
+    pt = _tables(p)
+    u = pt.u
+    xs = u if seq == "u" else pt.v
     total = Fraction(0)
     for i in range(n + 1):
         total += (

@@ -20,6 +20,11 @@ from biperiodic.fastpath import term_doubling
 # sha256 of the stdout of `verify --suite all --seed 7 --report json`; a change
 # of any value, any draw or the report format changes it.
 FIXED_SEED_REPORT_SHA256 = "0210a977479fb0f1f10eb7a660db27bec7a8e53937f12672c9a7c9464b72bf7e"
+# The same for `verify --suite all --samples 5 --max-index 24 --seed 3 --report
+# json`, whose SUM and BINOM checks read terms up to index about 600.
+HIGH_INDEX_REPORT_ARGS = ["verify", "--suite", "all", "--samples", "5", "--max-index", "24",
+                          "--seed", "3", "--report", "json"]
+HIGH_INDEX_REPORT_SHA256 = "7a1e88a75631db88fb758ffc7fac44bb2254219467a0a7011eead50e569cd1ed"
 
 CAP = cli._NAIVE_INDEX_CAP
 
@@ -185,6 +190,11 @@ class TestVerify:
         assert main(["verify", "--suite", "all", "--seed", "7", "--report", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIXED_SEED_REPORT_SHA256
+
+    def test_high_index_report_digest(self, capsys: pytest.CaptureFixture[str]) -> None:
+        assert main(HIGH_INDEX_REPORT_ARGS) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HIGH_INDEX_REPORT_SHA256
 
     def test_bogus_suite_exit_2(self) -> None:
         assert main(["verify", "--suite", "bogus"]) == 2

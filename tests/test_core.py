@@ -36,6 +36,14 @@ U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 nonzero = rationals.filter(lambda x: x != 0)
 points = st.builds(Params, nonzero, nonzero, nonzero, rationals, rationals)
+# Denominators that share factors, so the lcm of a point's denominators is
+# smaller than their product.
+shared_denominators = st.sampled_from([1, 2, 3, 4, 6, 9, 10, 12, 15, 18, 30])
+shared_rationals = st.builds(Fraction, st.integers(-30, 30), shared_denominators)
+shared_nonzero = shared_rationals.filter(lambda x: x != 0)
+shared_points = st.builds(
+    Params, shared_nonzero, shared_nonzero, shared_nonzero, shared_rationals, shared_rationals
+)
 
 
 class TestParams:
@@ -247,6 +255,16 @@ class TestTermTable:
         for kind in SequenceKind:
             table = TermTable(p, kind)
             for n in order:
+                assert table[n] == term_naive(p, kind, n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(p=shared_points, picks=st.lists(st.integers(-64, 700), max_size=6))
+    def test_integer_walk_matches_naive(self, p: Params, picks: list[int]) -> None:
+        # the walk to 700 comes first, so the later reads below it build
+        # their terms from the stored numerators
+        for kind in SequenceKind:
+            table = TermTable(p, kind)
+            for n in (700, *picks, -64, 1, 0):
                 assert table[n] == term_naive(p, kind, n)
 
     def test_shared_tables_under_threads(self) -> None:

@@ -14,6 +14,7 @@ from biperiodic.identities import (
     Family,
     IdentityId,
     SingularSeriesError,
+    SkipRecord,
     SuiteConfig,
     check_addition,
     check_binomial,
@@ -37,6 +38,7 @@ from conftest import P_STAR, random_params
 
 DEGENERATE = Params(1, 1, Fraction(-1, 4))  # discriminant 0
 SINGULAR_SUM = Params(1, 3, Fraction(-2, 3))  # det(I - K^1) = 0
+PRINTED_ZERO = Params(1, 4, 3)  # printed constant 0 at m = 2, corrected 105
 
 
 def small_indices(lo: int = 1, hi: int = 6) -> st.SearchStrategy[int]:
@@ -248,6 +250,37 @@ class TestPartialSums:
             sum_closed(SINGULAR_SUM, 1, 2, 0)
 
 
+    @pytest.mark.parametrize("seq", ["u", "v"])
+    def test_check_picks_from_the_pair_forms(self, seq: str) -> None:
+        pick = 0 if seq == "u" else 1
+        rng = random.Random(149)
+        cases = [(PRINTED_ZERO, 2, 3, 1), (P_STAR, 2, 1, 0), (P_STAR, 3, 4, 2)]
+        cases += [
+            (random_params(rng), rng.randint(1, 6), rng.randint(0, 6), rng.randint(0, 6))
+            for _ in range(20)
+        ]
+        checked = 0
+        for p, m, n, r in cases:
+            try:
+                oracle = sum_oracle(p, m, n, r)[pick]
+            except (DegenerateParametersError, SingularSeriesError):
+                continue
+            direct = sum_direct(p, m, n, r)[pick]
+            closed = sum_closed(p, m, n, r)[pick]
+            printed = sum_closed(p, m, n, r, corrected=False)
+            printed_value = None if printed is None else printed[pick]
+            report = check_partial_sum(p, m, n, r, seq)
+            assert (report.lhs, report.rhs, report.printed_form_value, report.passed) == (
+                direct,
+                closed,
+                printed_value,
+                direct == oracle == closed,
+            )
+            checked += 1
+        assert checked >= 15
+        assert check_partial_sum(PRINTED_ZERO, 2, 3, 1, seq).printed_form_value is None
+
+
 class TestBinomialTransform:
     def test_delta_weights_worked(self) -> None:
         assert delta_weight(P_STAR, 2, 1, 1, 0) == 6
@@ -341,6 +374,28 @@ class TestRunSuite:
         assert len(payload["results"]) == 2
         row = payload["results"][0]
         assert {"id", "params", "indices", "lhs", "rhs", "pass"} <= set(row)
+
+    def test_to_dict_renders_values_past_the_digit_limit(self) -> None:
+        report = check_binomial(Params(Fraction(1, 2), 3, Fraction(-2, 5), 1, 1), 128, 128, 5, "u")
+        assert report.passed
+        payload = report.to_dict()
+        num_text, den_text = payload["lhs"].split("/")
+        assert len(num_text) > 4300 and len(den_text) > 4300
+        assert payload["rhs"] == payload["lhs"]
+
+        def parse(digits: str) -> int:  # chunks stay below any int<->str limit
+            sign, digits = (-1, digits[1:]) if digits.startswith("-") else (1, digits)
+            value = 0
+            for start in range(0, len(digits), 1000):
+                chunk = digits[start : start + 1000]
+                value = value * 10 ** len(chunk) + int(chunk)
+            return sign * value
+
+        assert parse(num_text) == report.lhs.numerator
+        assert parse(den_text) == report.lhs.denominator
+        tiny_a = Params(Fraction(1, 10**5000), 1, 1)
+        skip = SkipRecord(IdentityId(Family.L2, 1), 0, "reason", tiny_a)
+        assert skip.to_dict()["params"]["a"] == "1/1" + "0" * 5000
 
     def test_invalid_samples_rejected(self) -> None:
         with pytest.raises(ValueError):
