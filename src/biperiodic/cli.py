@@ -8,12 +8,14 @@ Subcommands:
 * ``bench``    cross-check and time the evaluation methods
 * ``catalog``  list the named sequences
 
-All numeric input is exact -- integers or ``p/q`` literals, never decimals --
-and rationals render losslessly as ``num/den`` (``/den`` omitted when the
-value is an integer), at any size.  Exit codes: 0 success, 1 verification or
-cross-check failure, 2 usage or parameter error, or any other error, and 141
-(what a shell reports for SIGPIPE) when the reader of stdout goes away, as in
-``biperiodic gen ... | head``; that exit is silent.
+All numeric input is exact -- integers or ``p/q`` literals, never decimals;
+a negative literal such as ``--c -2/5`` is a value.  Rationals render as
+``num/den`` (``/den`` omitted for an integer) at any size through
+:func:`biperiodic.exact.to_text`, which leaves the interpreter's int -> str
+digit limit, and with it input parsing, as it is.  Exit codes: 0 success, 1
+verification or cross-check failure, 2 usage or parameter error, or any other
+error, and 141 (what a shell reports for SIGPIPE) when the reader of stdout
+goes away, as in ``biperiodic gen ... | head``; that exit is silent.
 
 The linear-time walks (``term --method naive``, ``gen``, ``bench`` with the
 naive method) refuse any index beyond ``_NAIVE_INDEX_CAP`` (10^7) in absolute
@@ -28,13 +30,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from statistics import median
 
 from .catalog import UnknownSequenceError, entries, extra_entries, lookup
 from .core import Params, SequenceKind, table_notation, term_range
-from .exact import OpCounter, parse_rational
+from .exact import OpCounter, parse_rational, to_text
 from .fastpath import Method, term_fast
 from .identities import Family, SuiteConfig, SuiteSummary, run_suite
 
@@ -59,6 +62,14 @@ _SUITES: dict[str, tuple[Family, ...]] = {
 
 class CliError(Exception):
     """A usage or parameter problem; mapped to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative ``p/q`` literal, as in ``--c -2/5``, as a value."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)  # subparsers are of this class too
+        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
 
 
 def _refuse_naive_index(n: int) -> None:
@@ -154,14 +165,12 @@ def cmd_term(args: argparse.Namespace) -> int:
     if args.method == Method.NAIVE.value:
         _refuse_naive_index(args.index)
     params, kind = _resolve_sequence(args)
-    value = term_fast(params, kind, args.index, Method(args.method))
+    text = to_text(term_fast(params, kind, args.index, Method(args.method)))
     if args.format == "json":
-        print(json.dumps({"n": args.index, "value": str(value)}))
+        text = json.dumps({"n": args.index, "value": text})
     elif args.format == "csv":
-        print("n,value")
-        print(f"{args.index},{value}")
-    else:
-        print(value)
+        text = f"n,value\n{args.index},{text}"
+    print(text)
     return 0
 
 
@@ -171,9 +180,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.start > args.stop:
         raise CliError("--from must not exceed --to")
     values = term_range(params, kind, args.start, args.stop)
-    rows = list(zip(range(args.start, args.stop + 1), values))
+    rows = list(zip(range(args.start, args.stop + 1), map(to_text, values)))
     if args.format == "json":
-        text = json.dumps([{"n": n, "value": str(v)} for n, v in rows])
+        text = json.dumps([{"n": n, "value": v} for n, v in rows])
     elif args.format == "plain":
         text = "\n".join(f"{n}\t{v}" for n, v in rows)
     else:
@@ -328,7 +337,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biperiodic",
         description="Exact evaluation and identity verification for bi-periodic "
         "Horadam sequences.",
@@ -401,13 +410,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    # Values of any size must print, so the int->str digit limit (Python
-    # >= 3.10.7) is lifted while a handler runs and restored afterwards.
-    # Arguments are parsed before this, so input parsing keeps the limit.
-    limited = hasattr(sys, "set_int_max_str_digits")
-    if limited:
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
@@ -425,9 +427,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if limited:
-            sys.set_int_max_str_digits(previous)
 
 
 def run() -> None:

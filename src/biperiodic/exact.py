@@ -4,14 +4,17 @@
 lowest terms with a positive denominator, so values compare structurally and
 ``==`` is exact equality of rationals.  :class:`Mat2` wraps four rationals
 with exact matrix arithmetic on top.  Nothing in this package ever touches
-floating point.
+floating point.  :func:`to_text` renders values as ``str()`` does, at any
+size, and leaves Python's int -> str digit limit as it is.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
+from functools import cache
 
 Rational = Fraction
 
@@ -21,6 +24,7 @@ __all__ = [
     "SingularMatrixError",
     "as_rational",
     "parse_rational",
+    "to_text",
     "rat_pow",
     "Mat2",
     "mat_mul",
@@ -30,6 +34,7 @@ __all__ = [
 ]
 
 _EXACT_LITERAL = re.compile(r"[+-]?\d+(?:\s*/\s*\d+)?")
+_LEAF_BITS = 2048  # 617 digits: below the smallest digit limit Python accepts
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -87,6 +92,32 @@ def parse_rational(text: str) -> Rational:
         return Fraction(cleaned.replace(" ", ""))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational literal {text!r}") from None
+
+
+def to_text(x: Rational | int) -> str:
+    """``str(x)`` for an int or a rational of any size.
+
+    Past the digit limit an int is split by powers of 2 into ``Decimal`` leaves
+    joined by libmpdec's fast multiplication (Brent and Zimmermann, *Modern
+    Computer Arithmetic*, 1.7), in a private context that traps a dropped digit.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+    power = cache(lambda w: exact.power(2, w))  # 2**w, once per width
+
+    def convert(m: int, w: int) -> Decimal:  # -2**w <= m < 2**w
+        if w <= _LEAF_BITS:
+            return Decimal(m)
+        half = w >> 1
+        high = m >> half  # rounds down, so the low part is never negative
+        return exact.fma(convert(high, w - half), power(half), convert(m - (high << half), half))
+
+    num, den = x.numerator, x.denominator
+    text = str(convert(num, abs(num).bit_length()))
+    return text if den == 1 else f"{text}/{convert(den, den.bit_length())}"
 
 
 def rat_pow(base: Rational | int, exponent: int) -> Rational:

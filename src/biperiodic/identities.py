@@ -63,7 +63,7 @@ from .core import (
     discriminant,
     zeta,
 )
-from .exact import Mat2, Rational, mat_det, mat_inv, mat_mul, mat_pow, rat_pow
+from .exact import Mat2, Rational, mat_det, mat_inv, mat_mul, mat_pow, rat_pow, to_text
 from .matforms import MatrixTag, build
 
 __all__ = [
@@ -131,37 +131,8 @@ class IdentityId:
         return _FAMILY_ORDER[self.family], "" if self.sub is None else str(self.sub)
 
 
-def _digits(n: int) -> str:
-    """Decimal digits of n, split in halves while ``str`` refuses them.
-
-    Python limits int -> str conversions to a number of digits (4300 by
-    default); this renders integers of any size without touching that
-    process-wide limit.
-    """
-    try:
-        return str(n)
-    except ValueError:
-        pass
-    if n < 0:
-        return "-" + _digits(-n)
-    half = n.bit_length() * 1233 >> 13  # about half the digits: log10(2) ~ 1233/4096
-    high, low = divmod(n, 10**half)
-    return _digits(high) + _digits(low).zfill(half)
-
-
-def _text(x: Rational) -> str:
-    """``str(x)`` for rationals of any size."""
-    try:
-        return str(x)
-    except ValueError:
-        pass
-    if x.denominator == 1:
-        return _digits(x.numerator)
-    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
-
-
 def _params_dict(p: Params) -> dict[str, str]:
-    return {name: _text(getattr(p, name)) for name in ("a", "b", "c", "w0", "w1")}
+    return {name: to_text(getattr(p, name)) for name in ("a", "b", "c", "w0", "w1")}
 
 
 @dataclass(frozen=True)
@@ -189,12 +160,12 @@ class IdentityReport:
             "id": str(self.id),
             "params": _params_dict(self.params),
             "indices": dict(self.indices),
-            "lhs": _text(self.lhs),
-            "rhs": _text(self.rhs),
+            "lhs": to_text(self.lhs),
+            "rhs": to_text(self.rhs),
             "pass": self.passed,
         }
         if self.printed_form_value is not None:
-            payload["printed_form_value"] = _text(self.printed_form_value)
+            payload["printed_form_value"] = to_text(self.printed_form_value)
         if self.printed_form_matches is not None:
             payload["printed_form_matches"] = self.printed_form_matches
         return payload
@@ -589,20 +560,17 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
     pt = _tables(p)
     u = pt.u
     xs = u if seq == "u" else pt.v
+    # Summand i times the prefactor is comb(n, i) xs[i+r] y_m^(n-i) factor_i, where factor_i
+    # holds x_m^i, the parity weight (ab)^floor(j/2) a^zeta(j) at j = i+r and the constants.
+    x_m = u[m] * rat_pow(p.a, -zeta(m + 1))
+    y_m = p.c * u[m - 1] * rat_pow(p.b, zeta(m))
+    e_ab = r // 2 + n * (m // 2) - target // 2
+    factor = rat_pow(p.a * p.b, e_ab) * rat_pow(p.a, zeta(r) - zeta(target))
     total = Fraction(0)
     for i in range(n + 1):
-        total += (
-            math.comb(n, i)
-            * rat_pow(p.c, n - i)
-            * rat_pow(u[m], i)
-            * rat_pow(u[m - 1], n - i)
-            * xs[i + r]
-            * delta_weight(p, m, n, r, i)
-        )
-    prefactor = rat_pow(p.a, 1 - zeta(target)) / rat_pow(p.a * p.b, target // 2)
-    return _report(
-        Family.BINOM, seq, p, {"m": m, "n": n, "r": r}, xs[target], prefactor * total
-    )
+        total = total * y_m + math.comb(n, i) * xs[i + r] * factor
+        factor *= x_m * (p.b if zeta(i + r) else p.a)
+    return _report(Family.BINOM, seq, p, {"m": m, "n": n, "r": r}, xs[target], total)
 
 
 @dataclass(frozen=True)

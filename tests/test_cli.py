@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -27,6 +29,7 @@ HIGH_INDEX_REPORT_ARGS = ["verify", "--suite", "all", "--samples", "5", "--max-i
 HIGH_INDEX_REPORT_SHA256 = "7a1e88a75631db88fb758ffc7fac44bb2254219467a0a7011eead50e569cd1ed"
 
 CAP = cli._NAIVE_INDEX_CAP
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def refuse_work(*args, **kwargs):
@@ -79,6 +82,26 @@ class TestTerm:
         rendered = capsys.readouterr().out.strip()
         expected = term_fast(Params("-2/3", 5, "1/7"), SequenceKind.V, 11)
         assert rendered == str(expected)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--a", "1/2", "--b", "3", "--c", "-2/5", "--kind", "u", "-n", "-9"],
+            ["--a", "1/2", "--b", "3", "--c=-2/5", "--kind", "u", "--index=-9"],
+            ["--c", "-2/5", "--a", "2/4", "--kind", "u", "--b", "3/1", "--index", "-9"],
+        ],
+    )
+    def test_negative_fraction_literal_is_a_value(
+        self, args: list[str], capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        assert main(["term", *args]) == 0
+        assert capsys.readouterr().out.strip() == "-2440625/8192"
+
+    def test_option_after_value_taking_option_still_an_option(
+        self, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        assert main(["term", "--seq", "fibonacci", "--c", "-n", "5"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [CAP + 1, -(CAP + 1)])
     def test_naive_cap_exit_2(
@@ -302,6 +325,33 @@ class TestLargeValues:
         with no_digit_limit():
             assert value == str(term_doubling(fib.params, fib.kind, 20603))
 
+    def test_values_print_without_touching_the_digit_limit(
+        self, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        fib = lookup("fibonacci")
+        with no_digit_limit():
+            term = str(term_doubling(fib.params, fib.kind, 100000))
+            rows = [(n, str(term_doubling(fib.params, fib.kind, n))) for n in range(20600, 20604)]
+
+        def refuse(limit: int) -> None:
+            raise AssertionError("the process-wide digit limit was changed")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        term_args = ["term", "--seq", "fibonacci", "-n", "100000", "--format"]
+        assert main([*term_args, "plain"]) == 0
+        assert capsys.readouterr().out == term + "\n"
+        assert main([*term_args, "json"]) == 0
+        assert capsys.readouterr().out == json.dumps({"n": 100000, "value": term}) + "\n"
+        assert main([*term_args, "csv"]) == 0
+        assert capsys.readouterr().out == f"n,value\n100000,{term}\n"
+        gen_args = ["gen", "--seq", "fibonacci", "--from", "20600", "--to", "20603", "--format"]
+        assert main([*gen_args, "csv"]) == 0
+        assert capsys.readouterr().out == "n,value\n" + "".join(f"{n},{v}\n" for n, v in rows)
+        assert main([*gen_args, "plain"]) == 0
+        assert capsys.readouterr().out == "".join(f"{n}\t{v}\n" for n, v in rows)
+        assert main([*gen_args, "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == [{"n": n, "value": v} for n, v in rows]
+
     def test_unexpected_error_exit_2(self, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]) -> None:
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
@@ -314,6 +364,19 @@ class TestLargeValues:
 class TestTopLevel:
     def test_no_command_exit_2(self) -> None:
         assert main([]) == 2
+
+    def test_readme_cli_examples_exit_0(self, capsys: pytest.CaptureFixture[str]) -> None:
+        section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+        commands = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+        commands = [c for c in commands if c]
+        assert len(commands) == 9
+        for command in commands:
+            words = shlex.split(command)
+            prefix = 1 if words[0] == "biperiodic" else 3
+            assert words[:prefix] in (["biperiodic"], ["python", "-m", "biperiodic"])
+            assert main(words[prefix:]) == 0, command
+            capsys.readouterr()
 
     def test_unknown_command_exit_2(self) -> None:
         assert main(["frobnicate"]) == 2

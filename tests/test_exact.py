@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import decimal
+import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biperiodic.exact import (
@@ -17,10 +20,32 @@ from biperiodic.exact import (
     mat_pow,
     parse_rational,
     rat_pow,
+    to_text,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 small_ints = st.integers(min_value=-40, max_value=40)
+
+
+def lifted_str(x: Fraction | int) -> str:
+    """``str(x)`` with the int -> str digit limit lifted for the call."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def drawn_int(digits: int, seed: int) -> int:
+    """A pseudo-random positive int with exactly ``digits`` decimal digits."""
+    low = 10 ** (digits - 1)
+    return low + random.Random(seed).randrange(9 * low)
+
+
+# up to 10^5 digits, half of the draws at the default limit of 4300 digits or
+# at the top of the range
+digit_counts = st.one_of(st.sampled_from([4299, 4300, 4301, 100_000]), st.integers(1, 100_000))
 
 
 class TestAsRational:
@@ -200,3 +225,41 @@ class TestOpCounter:
         counter.add(3)
         counter.add(2)
         assert counter.muls == 5
+
+
+class TestToText:
+    # Values are built inside the tests: Hypothesis and pytest render their
+    # arguments with repr(), which refuses ints past the limit.
+    @settings(max_examples=30)
+    @given(
+        digits=digit_counts,
+        den_digits=st.one_of(st.none(), st.integers(1, 7), digit_counts),
+        seed=st.integers(0, 2**32),
+        negative=st.booleans(),
+    )
+    def test_equals_str_with_the_limit_lifted(
+        self, digits: int, den_digits: int | None, seed: int, negative: bool
+    ) -> None:
+        x: Fraction | int = drawn_int(digits, seed) * (-1 if negative else 1)
+        if den_digits is not None:
+            x = Fraction(x, drawn_int(den_digits, seed + 1))
+        assert to_text(x) == lifted_str(x)
+
+    def test_edge_values(self) -> None:
+        values = [0, -1, 10**4299, 10**4300, -(10**5000) + 1, 2**20000, -(2**20000),
+                  Fraction(-1, 10**5000), Fraction(2**30000 + 1, 3**9000)]
+        for x in values:
+            assert to_text(x) == lifted_str(x)
+
+    def test_lowered_limit_is_left_as_it_is(self) -> None:
+        values = [3**5000, -(3**5000), 10**640, 2**2048 - 1, Fraction(-(2**3000) - 1, 3**2000)]
+        expected = [lifted_str(x) for x in values]
+        thread_context = repr(decimal.getcontext())
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert [to_text(x) for x in values] == expected
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert repr(decimal.getcontext()) == thread_context

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biperiodic.core import DegenerateParametersError, Params
-from biperiodic.exact import Mat2, mat_det, mat_pow
+from biperiodic.core import DegenerateParametersError, Params, SequenceKind, term_naive, zeta
+from biperiodic.exact import Mat2, mat_det, mat_pow, rat_pow
 from biperiodic.identities import (
     Family,
     IdentityId,
@@ -316,6 +317,32 @@ class TestBinomialTransform:
             p = random_params(rng)
             rep = check_binomial(p, rng.randint(2, 6), rng.randint(0, 4), rng.randint(0, 4), seq="u")
             assert rep.passed
+
+    @given(
+        abc=st.tuples(*[st.fractions(-4, 4, max_denominator=6).filter(bool)] * 3),
+        m=st.integers(2, 7),
+        n=st.integers(0, 8),
+        r=st.integers(0, 5),
+        seq=st.sampled_from(["u", "v"]),
+    )
+    def test_carried_sum_matches_the_per_summand_formula(
+        self, abc: tuple[Fraction, Fraction, Fraction], m: int, n: int, r: int, seq: str
+    ) -> None:
+        p = Params(*abc)
+        kind = SequenceKind.U if seq == "u" else SequenceKind.V
+        u_m, u_prev = term_naive(p, SequenceKind.U, m), term_naive(p, SequenceKind.U, m - 1)
+        total = sum(
+            math.comb(n, i)
+            * rat_pow(p.c, n - i)
+            * rat_pow(u_m, i)
+            * rat_pow(u_prev, n - i)
+            * term_naive(p, kind, i + r)
+            * delta_weight(p, m, n, r, i)
+            for i in range(n + 1)
+        )
+        target = m * n + r
+        prefactor = rat_pow(p.a, 1 - zeta(target)) / rat_pow(p.a * p.b, target // 2)
+        assert check_binomial(p, m, n, r, seq).rhs == prefactor * total
 
     def test_m_below_two_rejected(self) -> None:
         with pytest.raises(ValueError):
