@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exact import OpCounter, Rational, as_rational, rat_pow
+from .exact import OpCounter, Rational, as_rational, dataclass_repr, rat_pow
 
 __all__ = [
     "SequenceKind",
@@ -49,8 +49,6 @@ __all__ = [
     "term_range",
     "w_from_u",
     "v_from_u",
-    "w_from_u_terms",
-    "v_from_u_terms",
     "reflect_u",
     "reflect_v",
     "reflect_w",
@@ -88,6 +86,8 @@ class Params:
     c: Rational
     w0: Rational = Fraction(0)
     w1: Rational = Fraction(1)
+
+    __repr__ = dataclass_repr
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "w0", "w1"):
@@ -231,32 +231,26 @@ def term_range(p: Params, kind: SequenceKind, lo: int, hi: int) -> list[Rational
     return TermTable(p, kind)[lo : hi + 1]
 
 
-def w_from_u_terms(p: Params, n: int, u_n: Rational, u_prev: Rational) -> Rational:
-    """Combine u(n) and u(n-1) into w(n): w1 * u(n) + c (b/a)^zeta(n) w0 * u(n-1)."""
+def _from_u(p: Params, n: int, pair: tuple[Rational, Rational]) -> Rational:
+    """x(n) of the initial pair (x0, x1) from u(n), u(n-1): x1 u(n) + c (b/a)^zeta(n) x0 u(n-1)."""
+    x0, x1 = pair
+    u_prev, u_n = term_range(p, SequenceKind.U, n - 1, n)
     ratio = p.b / p.a if zeta(n) else Fraction(1)
-    return u_n * p.w1 + p.c * ratio * u_prev * p.w0
-
-
-def v_from_u_terms(p: Params, n: int, u_n: Rational, u_prev: Rational) -> Rational:
-    """Combine u(n) and u(n-1) into v(n): b * u(n) + 2c (b/a)^zeta(n) * u(n-1)."""
-    ratio = p.b / p.a if zeta(n) else Fraction(1)
-    return p.b * u_n + 2 * p.c * ratio * u_prev
+    return u_n * x1 + p.c * ratio * u_prev * x0
 
 
 def w_from_u(p: Params, n: int) -> Rational:
     """w(n) for n >= 1 assembled from u-terms instead of the w recurrence."""
     if n < 1:
         raise ValueError("w_from_u is defined for n >= 1")
-    u_prev, u_n = term_range(p, SequenceKind.U, n - 1, n)
-    return w_from_u_terms(p, n, u_n, u_prev)
+    return _from_u(p, n, (p.w0, p.w1))
 
 
 def v_from_u(p: Params, n: int) -> Rational:
     """v(n) for n >= 1 assembled from u-terms instead of the v recurrence."""
     if n < 1:
         raise ValueError("v_from_u is defined for n >= 1")
-    u_prev, u_n = term_range(p, SequenceKind.U, n - 1, n)
-    return v_from_u_terms(p, n, u_n, u_prev)
+    return _from_u(p, n, initial_pair(p, SequenceKind.V))
 
 
 def reflect_u(p: Params, n: int, u_n: Rational) -> Rational:

@@ -5,13 +5,14 @@ lowest terms with a positive denominator, so values compare structurally and
 ``==`` is exact equality of rationals.  :class:`Mat2` wraps four rationals
 with exact matrix arithmetic on top.  Nothing in this package ever touches
 floating point.  :func:`to_text` renders values as ``str()`` does, at any
-size, and leaves Python's int -> str digit limit as it is.
+size, and leaves Python's int -> str digit limit as it is;
+:func:`dataclass_repr` builds a dataclass ``repr()`` on it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from functools import cache
@@ -25,6 +26,7 @@ __all__ = [
     "as_rational",
     "parse_rational",
     "to_text",
+    "dataclass_repr",
     "rat_pow",
     "Mat2",
     "mat_mul",
@@ -118,6 +120,23 @@ def to_text(x: Rational | int) -> str:
     num, den = x.numerator, x.denominator
     text = str(convert(num, abs(num).bit_length()))
     return text if den == 1 else f"{text}/{convert(den, den.bit_length())}"
+
+
+def dataclass_repr(obj: object) -> str:
+    """The generated ``repr()`` of a dataclass instance, for fields of any size.
+
+    Ints and the parts of rationals go through :func:`to_text`, so a value
+    past the digit limit prints instead of raising.
+    """
+
+    def show(value: object) -> str:
+        if isinstance(value, Fraction):
+            numerator, denominator = to_text(value.numerator), to_text(value.denominator)
+            return f"{type(value).__name__}({numerator}, {denominator})"
+        return to_text(value) if type(value) is int else repr(value)
+
+    shown = ", ".join(f"{f.name}={show(getattr(obj, f.name))}" for f in fields(obj) if f.repr)
+    return f"{type(obj).__qualname__}({shown})"
 
 
 def rat_pow(base: Rational | int, exponent: int) -> Rational:

@@ -29,7 +29,13 @@ T34         difference-of-squares companion of COR31
 
 ``run_suite`` samples parameter points and index tuples deterministically
 from a seed and runs any subset of the families, recording skips whenever a
-precondition (nonzero discriminant, nonzero series constant) fails.
+precondition (nonzero discriminant, nonzero series constant) fails.  One
+table keyed by :class:`Family` declares each family once: its checker, the
+keyword that takes its sub-identity (``sub`` for L1/L2, ``seq`` for
+SUM/BINOM), its sub-identities, and the least value of each index in draw
+order.  Each index is drawn from its least value up to ``max_index``; the
+parameters come from a fixed grid, numerators in [-5, 5] and denominators in
+[1, 5].
 
 The checkers read u, v and w terms from one :class:`~biperiodic.core.TermTable`
 per sequence, held in a one-entry memo keyed by the parameter point.
@@ -54,6 +60,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     DegenerateParametersError,
@@ -63,7 +70,7 @@ from .core import (
     discriminant,
     zeta,
 )
-from .exact import Mat2, Rational, mat_det, mat_inv, mat_mul, mat_pow, rat_pow, to_text
+from .exact import Mat2, Rational, dataclass_repr, mat_det, mat_inv, mat_mul, mat_pow, to_text
 from .matforms import MatrixTag, build
 
 __all__ = [
@@ -155,6 +162,8 @@ class IdentityReport:
     printed_form_matches: bool | None = None
     sample: int | None = None
 
+    __repr__ = dataclass_repr
+
     def to_dict(self) -> dict:
         payload: dict = {
             "id": str(self.id),
@@ -234,7 +243,7 @@ def check_u_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
     u, ba = pt.u, pt.ba
     if sub == 1:
         lhs = pt.ab[zeta(n)] * u[n] ** 2 - pt.ab[zeta(n + 1)] * u[n - 1] * u[n + 1]
-        rhs = pt.ab[1] * rat_pow(-p.c, n - 1)
+        rhs = pt.ab[1] * (-p.c) ** (n - 1)
         return _report(Family.L1, sub, p, {"n": n}, lhs, rhs)
     if sub == 2:
         lhs = ba[zeta(m * n + n)] * u[m] * u[n + 1] + ba[zeta(m * n + m)] * p.c * u[n] * u[m - 1]
@@ -242,7 +251,7 @@ def check_u_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
     elif sub == 3:
         # exponents from comparing U^n (U^m)^-1 = U^(n-m) entrywise
         lhs = ba[zeta(m * n + m)] * u[n] * u[m + 1] - ba[zeta(m * n + n)] * u[m] * u[n + 1]
-        rhs = rat_pow(-p.c, m) * u[n - m]
+        rhs = (-p.c) ** m * u[n - m]
     else:
         lhs = (
             ba[zeta(m * n + n)] * u[m] * u[n - m + 1]
@@ -268,7 +277,7 @@ def check_uv_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
     u, v, q = pt.u, pt.v, pt.q
     if sub == 1:
         lhs = v[n] ** 2 - q * u[n] ** 2
-        rhs = 4 * pt.ba[zeta(n)] * rat_pow(-p.c, n)
+        rhs = 4 * pt.ba[zeta(n)] * (-p.c) ** n
         return _report(Family.L2, sub, p, {"n": n}, lhs, rhs)
     zz = zeta(n) * zeta(m)
     if sub == 2:
@@ -279,15 +288,15 @@ def check_uv_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
         rhs = 2 * pt.ba[zz] * u[n + m]
     elif sub == 4:
         lhs = v[m] * v[n] - q * u[m] * u[n]
-        rhs = 2 * rat_pow(-p.c, m) * pt.ba[zz] * v[n - m]
+        rhs = 2 * (-p.c) ** m * pt.ba[zz] * v[n - m]
     elif sub == 5:
         lhs = u[n] * v[m] - u[m] * v[n]
-        rhs = 2 * rat_pow(-p.c, m) * pt.ba[zz] * u[n - m]
+        rhs = 2 * (-p.c) ** m * pt.ba[zz] * u[n - m]
     elif sub == 6:
-        lhs = v[n + m] + rat_pow(-p.c, m) * v[n - m]
+        lhs = v[n + m] + (-p.c) ** m * v[n - m]
         rhs = pt.ab[zz] * v[m] * v[n]
     else:
-        lhs = u[n + m] + rat_pow(-p.c, m) * u[n - m]
+        lhs = u[n + m] + (-p.c) ** m * u[n - m]
         rhs = pt.ab[zz] * u[n] * v[m]
     return _report(Family.L2, sub, p, {"m": m, "n": n}, lhs, rhs)
 
@@ -304,7 +313,7 @@ def check_cassini(p: Params, n: int) -> IdentityReport:
     pt = _tables(p)
     w, ba = pt.w, pt.ba
     lhs = ba[zeta(n)] * w[n - 1] * w[n + 1] - ba[zeta(n + 1)] * w[n] ** 2
-    rhs = rat_pow(Fraction(-1), n) * rat_pow(p.c, n - 1) * _w_invariant(p)
+    rhs = (-1) ** n * p.c ** (n - 1) * _w_invariant(p)
     return _report(Family.CASSINI_W, None, p, {"n": n}, lhs, rhs)
 
 
@@ -330,13 +339,7 @@ def check_catalan(p: Params, n: int, pp: int, q: int) -> IdentityReport:
     u, w, ba = pt.u, pt.w, pt.ba
     zpq = zeta(pp) * zeta(q)
     lhs = ba[zeta(n) * zpq] * w[n + pp] * w[n + q] - ba[zeta(n + 1) * zpq] * w[n] * w[n + pp + q]
-    rhs = (
-        ba[zeta(n) * zeta(pp + 1) * zeta(q + 1)]
-        * rat_pow(-p.c, n)
-        * u[pp]
-        * u[q]
-        * _w_invariant(p)
-    )
+    rhs = ba[zeta(n) * zeta(pp + 1) * zeta(q + 1)] * (-p.c) ** n * u[pp] * u[q] * _w_invariant(p)
     return _report(Family.CATALAN, None, p, {"n": n, "pp": pp, "q": q}, lhs, rhs)
 
 
@@ -368,11 +371,7 @@ def check_square_difference(p: Params, n: int) -> IdentityReport:
         raise ValueError("n must be >= 1")
     w = _tables(p).w
     lhs = w[n + 1] ** 2 - p.c * p.c * w[n - 1] ** 2
-    rhs = (
-        rat_pow(p.a, zeta(n))
-        * rat_pow(p.b, zeta(n + 1))
-        * (p.w1 * w[2 * n] + p.c * p.w0 * w[2 * n - 1])
-    )
+    rhs = p.a ** zeta(n) * p.b ** zeta(n + 1) * (p.w1 * w[2 * n] + p.c * p.w0 * w[2 * n - 1])
     return _report(Family.T34, None, p, {"n": n}, lhs, rhs)
 
 
@@ -382,12 +381,8 @@ def sum_constants(p: Params, m: int) -> SumConstants:
         raise ValueError("m must be >= 1")
     v_m = _tables(p).v[m]
     z = zeta(m)
-    printed = 1 - rat_pow(p.a, z) * v_m + rat_pow(p.a * p.b, z) * rat_pow(-p.c, m)
-    corrected = (
-        1
-        - rat_pow(p.a * p.b, m // 2) * rat_pow(p.a, z) * v_m
-        + rat_pow(-(p.a * p.b * p.c), m)
-    )
+    printed = 1 - p.a ** z * v_m + (p.a * p.b) ** z * (-p.c) ** m
+    corrected = 1 - (p.a * p.b) ** (m // 2) * p.a ** z * v_m + (-(p.a * p.b * p.c)) ** m
     return SumConstants(printed, corrected)
 
 
@@ -426,7 +421,7 @@ def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) ->
     total = Fraction(0)
     for j in range(n + 1):
         t = m * j + r
-        total += rat_pow(p.a * p.b, t // 2) * rat_pow(p.a, zeta(t) + shift) * xs[t]
+        total += (p.a * p.b) ** (t // 2) * p.a ** (zeta(t) + shift) * xs[t]
     return total
 
 
@@ -448,21 +443,17 @@ def _closed_sum(
                 "partial-sum constant det(I - K^m) is zero for this m"
             )
         return None
-    bracket_weight = rat_pow(p.a * p.b, m // 2) if corrected else _ONE
+    bracket_weight = (p.a * p.b) ** (m // 2) if corrected else _ONE
     tail_sign = -1 if corrected else 1
     top = m * n + m + r
     zm = zeta(m)
 
     def bracket(t: int, sign: int) -> Rational:
-        weight = (
-            rat_pow(-p.c, m)
-            * rat_pow(p.a, zm * zeta(t + 1))
-            * rat_pow(p.b, zm * zeta(t))
-        )
+        weight = (-p.c) ** m * p.a ** (zm * zeta(t + 1)) * p.b ** (zm * zeta(t))
         return xs[t] + sign * bracket_weight * weight * xs[t - m]
 
     def outer(t: int) -> Rational:
-        return rat_pow(p.a * p.b, t // 2) * rat_pow(p.a, zeta(t) + shift)
+        return (p.a * p.b) ** (t // 2) * p.a ** (zeta(t) + shift)
 
     return (outer(r) * bracket(r, -1) - outer(top) * bracket(top, tail_sign)) / d
 
@@ -543,7 +534,7 @@ def delta_weight(p: Params, m: int, n: int, r: int, i: int) -> Rational:
     e_ab = (i + r) // 2 + n * (m // 2)
     e_a = -zeta(m + 1) * i - 1 + zeta(i + r)
     e_b = zeta(m) * (n - i)
-    return rat_pow(p.a * p.b, e_ab) * rat_pow(p.a, e_a) * rat_pow(p.b, e_b)
+    return (p.a * p.b) ** e_ab * p.a ** e_a * p.b ** e_b
 
 
 def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
@@ -562,10 +553,10 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
     xs = u if seq == "u" else pt.v
     # Summand i times the prefactor is comb(n, i) xs[i+r] y_m^(n-i) factor_i, where factor_i
     # holds x_m^i, the parity weight (ab)^floor(j/2) a^zeta(j) at j = i+r and the constants.
-    x_m = u[m] * rat_pow(p.a, -zeta(m + 1))
-    y_m = p.c * u[m - 1] * rat_pow(p.b, zeta(m))
+    x_m = u[m] * p.a ** -zeta(m + 1)
+    y_m = p.c * u[m - 1] * p.b ** zeta(m)
     e_ab = r // 2 + n * (m // 2) - target // 2
-    factor = rat_pow(p.a * p.b, e_ab) * rat_pow(p.a, zeta(r) - zeta(target))
+    factor = (p.a * p.b) ** e_ab * p.a ** (zeta(r) - zeta(target))
     total = Fraction(0)
     for i in range(n + 1):
         total = total * y_m + math.comb(n, i) * xs[i + r] * factor
@@ -573,24 +564,25 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
     return _report(Family.BINOM, seq, p, {"m": m, "n": n, "r": r}, xs[target], total)
 
 
+_GRID_BOUND = 5  # parameter draws: numerators in [-5, 5], denominators in [1, 5]
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Sampling plan for :func:`run_suite`.
 
-    Parameters are drawn from the rational grid with numerators in
-    [-numerator_bound, numerator_bound] (nonzero for a, b, c) and
-    denominators in [1, denominator_bound]; indices are drawn up to
-    ``max_index``.  Passing ``params`` pins the parameter points (cycled
-    through) instead of drawing them, which the index draws still follow
-    deterministically.
+    Parameters are drawn from the rational grid with numerators in [-5, 5]
+    (nonzero for a, b, c) and denominators in [1, 5].  Each index is drawn
+    from its family's least value up to ``max_index`` (or equal to that least
+    value when it exceeds ``max_index``).  Passing ``params`` pins the
+    parameter points (cycled through) instead of drawing them, which the index
+    draws still follow deterministically.
     """
 
     families: tuple[Family, ...] = tuple(Family)
     samples: int = 100
     seed: int = 0
     max_index: int = 8
-    numerator_bound: int = 5
-    denominator_bound: int = 5
     params: tuple[Params, ...] | None = None
 
 
@@ -636,95 +628,42 @@ class SuiteSummary:
         }
 
 
-def _draw_params(rng: random.Random, cfg: SuiteConfig) -> Params:
+def _draw_params(rng: random.Random) -> Params:
     def nonzero() -> Fraction:
         num = 0
         while num == 0:
-            num = rng.randint(-cfg.numerator_bound, cfg.numerator_bound)
-        return Fraction(num, rng.randint(1, cfg.denominator_bound))
+            num = rng.randint(-_GRID_BOUND, _GRID_BOUND)
+        return Fraction(num, rng.randint(1, _GRID_BOUND))
 
     def any_value() -> Fraction:
-        return Fraction(
-            rng.randint(-cfg.numerator_bound, cfg.numerator_bound),
-            rng.randint(1, cfg.denominator_bound),
-        )
+        return Fraction(rng.randint(-_GRID_BOUND, _GRID_BOUND), rng.randint(1, _GRID_BOUND))
 
     return Params(nonzero(), nonzero(), nonzero(), any_value(), any_value())
 
 
-def _plan(
-    family: Family, rng: random.Random, bound: int
-) -> list[tuple[int | str | None, dict[str, int]]]:
-    """Index draws for every sub-identity of a family, in a fixed order."""
-    if family in (Family.L1, Family.L2):
-        subs = (1, 2, 3, 4) if family is Family.L1 else (1, 2, 3, 4, 5, 6, 7)
-        return [
-            (s, {"m": rng.randint(1, bound), "n": rng.randint(1, bound)}) for s in subs
-        ]
-    if family is Family.SUM:
-        return [
-            (
-                seq,
-                {
-                    "m": rng.randint(1, bound),
-                    "n": rng.randint(0, bound),
-                    "r": rng.randint(0, bound),
-                },
-            )
-            for seq in ("u", "v")
-        ]
-    if family is Family.BINOM:
-        return [
-            (
-                seq,
-                {
-                    "m": rng.randint(2, max(2, bound)),
-                    "n": rng.randint(0, bound),
-                    "r": rng.randint(0, bound),
-                },
-            )
-            for seq in ("u", "v")
-        ]
-    if family is Family.ADDITION:
-        return [(None, {"n": rng.randint(1, bound), "q": rng.randint(1, bound)})]
-    if family is Family.CATALAN:
-        return [
-            (
-                None,
-                {
-                    "n": rng.randint(1, bound),
-                    "pp": rng.randint(1, bound),
-                    "q": rng.randint(1, bound),
-                },
-            )
-        ]
-    if family is Family.PRODSUM:
-        return [(None, {"m": rng.randint(1, bound), "n": rng.randint(1, bound)})]
-    return [(None, {"n": rng.randint(1, bound)})]
+class _Spec(NamedTuple):
+    """How :func:`run_suite` samples and checks one family."""
+
+    checker: str  # name of the module-level checker
+    keyword: str | None  # the checker's keyword for the sub-identity, if it takes one
+    subs: tuple[int | str | None, ...]
+    floors: dict[str, int]  # least value of each index keyword, in draw order
 
 
-def _execute(
-    family: Family, sub: int | str | None, p: Params, idx: dict[str, int]
-) -> IdentityReport:
-    if family is Family.L1:
-        return check_u_identity(p, sub, idx["m"], idx["n"])
-    if family is Family.L2:
-        return check_uv_identity(p, sub, idx["m"], idx["n"])
-    if family is Family.SUM:
-        return check_partial_sum(p, idx["m"], idx["n"], idx["r"], sub)
-    if family is Family.BINOM:
-        return check_binomial(p, idx["m"], idx["n"], idx["r"], sub)
-    if family is Family.CASSINI_W:
-        return check_cassini(p, idx["n"])
-    if family is Family.ADDITION:
-        return check_addition(p, idx["n"], idx["q"])
-    if family is Family.CATALAN:
-        return check_catalan(p, idx["n"], idx["pp"], idx["q"])
-    if family is Family.PRODSUM:
-        return check_product_sum(p, idx["m"], idx["n"])
-    if family is Family.COR31:
-        return check_square_sum(p, idx["n"])
-    return check_square_difference(p, idx["n"])
+# Checkers are named rather than bound and looked up at each call, so a
+# wrapper set over a module attribute also sees the suite's calls.
+_FAMILIES: dict[Family, _Spec] = {
+    Family.L1: _Spec("check_u_identity", "sub", (1, 2, 3, 4), {"m": 1, "n": 1}),
+    Family.L2: _Spec("check_uv_identity", "sub", (1, 2, 3, 4, 5, 6, 7), {"m": 1, "n": 1}),
+    Family.SUM: _Spec("check_partial_sum", "seq", ("u", "v"), {"m": 1, "n": 0, "r": 0}),
+    Family.BINOM: _Spec("check_binomial", "seq", ("u", "v"), {"m": 2, "n": 0, "r": 0}),
+    Family.CASSINI_W: _Spec("check_cassini", None, (None,), {"n": 1}),
+    Family.ADDITION: _Spec("check_addition", None, (None,), {"n": 1, "q": 1}),
+    Family.CATALAN: _Spec("check_catalan", None, (None,), {"n": 1, "pp": 1, "q": 1}),
+    Family.PRODSUM: _Spec("check_product_sum", None, (None,), {"m": 1, "n": 1}),
+    Family.COR31: _Spec("check_square_sum", None, (None,), {"n": 1}),
+    Family.T34: _Spec("check_square_difference", None, (None,), {"n": 1}),
+}
 
 
 def run_suite(config: SuiteConfig) -> SuiteSummary:
@@ -739,8 +678,6 @@ def run_suite(config: SuiteConfig) -> SuiteSummary:
         raise ValueError("samples must be >= 1")
     if config.max_index < 1:
         raise ValueError("max_index must be >= 1")
-    if config.numerator_bound < 1 or config.denominator_bound < 1:
-        raise ValueError("sampling bounds must be >= 1")
     families = tuple(f for f in Family if f in set(config.families))
     rng = random.Random(config.seed)
     results: list[IdentityReport] = []
@@ -749,11 +686,17 @@ def run_suite(config: SuiteConfig) -> SuiteSummary:
         if config.params:
             p = config.params[sample % len(config.params)]
         else:
-            p = _draw_params(rng, config)
+            p = _draw_params(rng)
         for family in families:
-            for sub, idx in _plan(family, rng, config.max_index):
+            spec = _FAMILIES[family]
+            for sub in spec.subs:
+                idx = {
+                    name: rng.randint(least, max(least, config.max_index))
+                    for name, least in spec.floors.items()
+                }
+                keyword = {} if spec.keyword is None else {spec.keyword: sub}
                 try:
-                    report = _execute(family, sub, p, idx)
+                    report = globals()[spec.checker](p, **idx, **keyword)
                 except (DegenerateParametersError, SingularSeriesError) as exc:
                     skipped.append(SkipRecord(IdentityId(family, sub), sample, str(exc), p))
                     continue

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -39,3 +41,17 @@ def random_params(rng: random.Random, bound: int = 5, integer_w: bool = False) -
         return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
     return Params(nonzero(), nonzero(), nonzero(), any_rational(), any_rational())
+
+
+@contextmanager
+def no_digit_limit():
+    """Lift the int<->str digit limit of Python >= 3.10.7 for the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)

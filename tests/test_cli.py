@@ -7,7 +7,6 @@ import re
 import shlex
 import subprocess
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,7 @@ import biperiodic.cli as cli
 from biperiodic.catalog import lookup
 from biperiodic.cli import main
 from biperiodic.fastpath import term_doubling
+from conftest import no_digit_limit
 
 
 # sha256 of the stdout of `verify --suite all --seed 7 --report json`; a change
@@ -27,6 +27,11 @@ FIXED_SEED_REPORT_SHA256 = "0210a977479fb0f1f10eb7a660db27bec7a8e53937f12672c9a7
 HIGH_INDEX_REPORT_ARGS = ["verify", "--suite", "all", "--samples", "5", "--max-index", "24",
                           "--seed", "3", "--report", "json"]
 HIGH_INDEX_REPORT_SHA256 = "7a1e88a75631db88fb758ffc7fac44bb2254219467a0a7011eead50e569cd1ed"
+# The same at the lowest index bound, `--samples 5 --max-index 1 --seed 3`: BINOM
+# draws m from [2, 2] and SUM draws n and r from 0.
+LOWEST_INDEX_REPORT_ARGS = ["verify", "--suite", "all", "--samples", "5", "--max-index", "1",
+                            "--seed", "3", "--report", "json"]
+LOWEST_INDEX_REPORT_SHA256 = "cf7afa0d255da261816d9ac439574416316b38b2edd677f72fe318ffcfe3ed5d"
 
 CAP = cli._NAIVE_INDEX_CAP
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,20 +39,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def refuse_work(*args, **kwargs):
     raise AssertionError("the command did work it should have refused")
-
-
-@contextmanager
-def no_digit_limit():
-    """Lift the int<->str digit limit of Python >= 3.10.7 for the block."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
 
 
 class TestTerm:
@@ -218,6 +209,11 @@ class TestVerify:
         assert main(HIGH_INDEX_REPORT_ARGS) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HIGH_INDEX_REPORT_SHA256
+
+    def test_lowest_index_report_digest(self, capsys: pytest.CaptureFixture[str]) -> None:
+        assert main(LOWEST_INDEX_REPORT_ARGS) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LOWEST_INDEX_REPORT_SHA256
 
     def test_bogus_suite_exit_2(self) -> None:
         assert main(["verify", "--suite", "bogus"]) == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -35,7 +36,7 @@ from biperiodic.identities import (
     sum_oracle,
 )
 from biperiodic.matforms import build, MatrixTag
-from conftest import P_STAR, random_params
+from conftest import P_STAR, no_digit_limit, random_params
 
 DEGENERATE = Params(1, 1, Fraction(-1, 4))  # discriminant 0
 SINGULAR_SUM = Params(1, 3, Fraction(-2, 3))  # det(I - K^1) = 0
@@ -432,3 +433,30 @@ class TestRunSuite:
     def test_any_seed_passes_small_run(self, seed: int) -> None:
         summary = run_suite(SuiteConfig(samples=2, seed=seed, max_index=6))
         assert summary.failed == 0
+
+
+def generated_repr(obj: object) -> str:
+    """The ``repr()`` a plain dataclass of the same name and fields gives ``obj``."""
+    names = [f.name for f in dataclasses.fields(obj)]
+    mirror = dataclasses.make_dataclass(type(obj).__name__, names)
+    return repr(mirror(*(getattr(obj, name) for name in names)))
+
+
+class TestRepr:
+    def test_small_point_pinned(self) -> None:
+        p = Params(Fraction(1, 2), 3, Fraction(-2, 5), 1, 1)
+        assert repr(p) == (
+            "Params(a=Fraction(1, 2), b=Fraction(3, 1), c=Fraction(-2, 5), "
+            "w0=Fraction(1, 1), w1=Fraction(1, 1))"
+        )
+        report = check_cassini(p, 2)
+        assert repr(report) == generated_repr(report)
+
+    def test_values_past_the_digit_limit(self) -> None:
+        report = check_binomial(Params(Fraction(1, 2), 3, Fraction(-2, 5), 1, 1), 128, 128, 5, "u")
+        tiny_a = Params(Fraction(1, 10**5000), 1, 1)
+        skip = SkipRecord(IdentityId(Family.L2, 1), 0, "reason", tiny_a)
+        shown = repr(report), repr(skip)
+        assert "a=Fraction(1, 1" + "0" * 5000 + ")" in shown[1]
+        with no_digit_limit():
+            assert shown == (generated_repr(report), generated_repr(skip))
