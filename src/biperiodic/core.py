@@ -17,13 +17,15 @@ everything else about an instance lives in :class:`Params`.
 This module is the slow, obviously-correct route: terms are produced by
 stepping the recurrence |n| times.  The logarithmic-time routes in
 :mod:`biperiodic.fastpath` are checked against it.  :func:`term_naive` walks
-from the initial pair on every call, on ``Fraction`` values, and is the anchor;
-:class:`TermTable` keeps the terms it has walked, so repeated lookups at one
-parameter point cost only the steps not yet taken, and :func:`term_range` is
-a slice of a fresh table.  A table walks upward on Python ints, scaled by the
-known denominator m d^k of index k (d = lcm of the denominators of a, b, c;
-m = lcm of those of the initial pair), and builds one ``Fraction`` per index,
-the first time that index is read; it walks downward on ``Fraction`` values.
+from the initial pair on every call, on ``Fraction`` values, in either
+direction, and is the anchor; :class:`TermTable` keeps the terms it has
+walked, so repeated lookups at one parameter point cost only the steps not
+yet taken, and :func:`term_range` is a slice of a fresh table.  A table walks
+only upward, on Python ints, scaled by the known denominator m d^k of index k
+(d = lcm of the denominators of a, b, c; m = lcm of those of the initial
+pair), and builds one ``Fraction`` per index, the first time that index is
+read.  Negative indices are positive indices of the reflected point (see
+:func:`reflected`), read from a mirror table there.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exact import OpCounter, Rational, as_rational, dataclass_repr, rat_pow
+from .exact import OpCounter, Rational, as_rational, dataclass_repr, rat_pow, to_text
 
 __all__ = [
     "SequenceKind",
@@ -44,6 +46,7 @@ __all__ = [
     "initial_pair",
     "table_notation",
     "discriminant",
+    "reflected",
     "term_naive",
     "TermTable",
     "term_range",
@@ -98,7 +101,7 @@ class Params:
 
 def table_notation(p: Params) -> str:
     """Compact display form ``w(w0,w1;a,b,c)`` of a parameter point."""
-    return f"w({p.w0},{p.w1};{p.a},{p.b},{p.c})"
+    return f"w({to_text(p.w0)},{to_text(p.w1)};{to_text(p.a)},{to_text(p.b)},{to_text(p.c)})"
 
 
 def zeta(n: int) -> int:
@@ -124,6 +127,21 @@ def discriminant(p: Params) -> Rational:
     """The quantity a^2 b^2 + 4abc separating the generic and degenerate cases."""
     ab = p.a * p.b
     return ab * ab + 4 * ab * p.c
+
+
+def reflected(p: Params, kind: SequenceKind) -> Params:
+    """The point whose W-sequence at index k is the given sequence at index -k.
+
+    Read backward, w(n) = chi(n) w(n-1) + c w(n-2) is
+
+        x(-k) = (-chi(k) / c) x(-k+1) + (1 / c) x(-k+2),
+
+    the same family at (-a/c, -b/c, 1/c), started from x(0) and
+    x(-1) = (x(1) - b x(0)) / c.  Reflecting that point again (as kind W)
+    gives back (a, b, c, x(0), x(1)).
+    """
+    x0, x1 = initial_pair(p, kind)
+    return Params(-p.a / p.c, -p.b / p.c, 1 / p.c, x0, (x1 - p.b * x0) / p.c)
 
 
 def term_naive(
@@ -159,30 +177,32 @@ class TermTable:
 
     ``table[n]`` is the term at any integer n; ``table[lo:stop]`` is the list
     of terms at lo..stop-1.  A lookup past the walked window extends it by
-    the forward step (upward) or the backward step (downward), so every term
-    is computed once per table however often it is read.
+    the forward step, so every term is computed once per table however often
+    it is read.
 
-    The upward walk runs on Python ints.  With d = lcm(den a, den b, den c)
+    The walk runs upward on Python ints.  With d = lcm(den a, den b, den c)
     and m = lcm(den x(0), den x(1)), the term is x(k) = N_k / (m d^k), where
 
         N_k = (chi(k) d) N_{k-1} + (c d^2) N_{k-2}
 
     has integer coefficients, so no step reduces a fraction.  The one
     ``Fraction`` of an index k >= 0 is built the first time it is read and
-    kept.  The downward walk divides by c at every step, so it stays on
-    ``Fraction`` values.
+    kept.  Index -k is index k of a mirror table at the reflected point (see
+    :func:`reflected`), built on the first negative read; reflecting twice
+    gives back this point, so the mirror is only ever read at k >= 0.
     """
 
     def __init__(self, p: Params, kind: SequenceKind) -> None:
-        self.params = p
+        self.params, self.kind = p, kind
         t0, t1 = initial_pair(p, kind)
         d = math.lcm(p.a.denominator, p.b.denominator, p.c.denominator)
         m = math.lcm(t0.denominator, t1.denominator)
         self._d, self._m = d, m
         self._steps = (int(p.a * d), int(p.b * d), int(p.c * d * d))
         self._nums = {0: int(t0 * m), 1: int(t1 * m * d)}  # N_k for 0 <= k <= hi
-        self._terms = {0: t0, 1: t1}  # built Fractions, at every lo <= k <= 1
-        self._lo, self._hi = 0, 1
+        self._terms = {0: t0, 1: t1}  # built Fractions, at some 0 <= k <= hi
+        self._hi = 1
+        self._mirror: TermTable | None = None
 
     def __getitem__(self, key: int | slice) -> Rational | list[Rational]:
         if isinstance(key, slice):
@@ -193,21 +213,22 @@ class TermTable:
         if term is not None:
             return term
         if key < 0:
-            if key < self._lo:
-                self._extend_down(key)
-            return self._terms[key]
+            mirror = self._mirror
+            if mirror is None:
+                # two threads may each build one; both hold equal values
+                mirror = self._mirror = TermTable(reflected(self.params, self.kind), SequenceKind.W)
+            return mirror[-key]
         if key > self._hi:
             self._extend_up(key)
         term = Fraction(self._nums[key], self._m * self._d**key)
         self._terms[key] = term
         return term
 
-    # Each extender reads its bound once and moves it only after the value at
-    # the new bound is stored, so every index between the bounds always has
-    # its value.  Two callers extending the same table at once therefore only
-    # rewrite equal values.
-
     def _extend_up(self, n: int) -> None:
+        # Reads the bound once and moves it only after the value at the new
+        # bound is stored, so every index up to the bound always has its
+        # value.  Two callers extending the same table at once therefore
+        # only rewrite equal values.
         (even, odd, cdd), nums, hi = self._steps, self._nums, self._hi
         prev, cur = nums[hi - 1], nums[hi]
         for k in range(hi + 1, n + 1):
@@ -215,17 +236,9 @@ class TermTable:
             nums[k] = cur
             self._hi = k
 
-    def _extend_down(self, n: int) -> None:
-        p, terms, lo = self.params, self._terms, self._lo
-        lower, upper = terms[lo], terms[lo + 1]
-        for k in range(lo - 1, n - 1, -1):
-            lower, upper = (upper - chi(p, k + 2) * lower) / p.c, lower
-            terms[k] = lower
-            self._lo = k
-
 
 def term_range(p: Params, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:
-    """Terms at indices lo..hi inclusive, in one recurrence walk per direction."""
+    """Terms at indices lo..hi inclusive, in one upward walk per sign of index."""
     if lo > hi:
         raise ValueError(f"empty index range: {lo}..{hi}")
     return TermTable(p, kind)[lo : hi + 1]

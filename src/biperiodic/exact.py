@@ -155,6 +155,8 @@ class Mat2:
     m21: Rational
     m22: Rational
 
+    __repr__ = dataclass_repr
+
     def __post_init__(self) -> None:
         for name in ("m11", "m12", "m21", "m22"):
             object.__setattr__(self, name, as_rational(getattr(self, name)))

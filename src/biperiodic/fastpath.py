@@ -9,7 +9,7 @@ Two independent fast routes are provided next to the linear-time oracle:
 
 Both routes run on Python ints and build one Fraction per result.  Pick
 integers lam, mu such that lam*a, mu*b and lam*mu*c are integers.  Then for
-every kind and every integer n
+every kind and every n >= 1
 
     x(n; a, b, c) = x'(n) / (lam^zeta(n+1) (lam mu)^floor((n-1)/2) m),
 
@@ -17,15 +17,15 @@ where x' is the same kind at the integer point (A, B, C) = (lam a, mu b,
 lam mu c) with the initial pair (0, 1), (2, B) or (M w0, M mu w1), and m is
 1, mu or mu*M for U, V and W (M clears the denominators of w0 and mu w1).
 (lam mu)^floor((n-1)/2) is the denominator the terms actually carry, so the
-division is done once, at the end, on a numerator already nearly coprime to
-it.  Negative indices use the reflection formula at the integer point, whose
-denominator is (-C)^|n|; its powers and those of the scale are summed as
-exponents over a pairwise coprime base of the small integers lam, mu, |C|
-and m, so shared factors cancel before the one ``Fraction(num, den)``.
+division is done once, at the end, on a numerator that shares few factors
+with it.  A negative index -n is index n of kind W at the reflected point
+(-a/c, -b/c, 1/c) of :func:`biperiodic.core.reflected`, so the routes only
+ever evaluate n >= 1, and a counter passed at -n counts that reflected walk.
 
 Both must agree with the oracle exactly, on every input; the test suite
-enforces the three-way agreement.  The backward recurrence and the closed
-reflection formulas of :mod:`biperiodic.core` stay oracle-only.
+enforces the three-way agreement.  The backward recurrence of
+:func:`~biperiodic.core.term_naive` and the closed reflection formulas of
+:mod:`biperiodic.core` stay oracle-only.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import Params, SequenceKind, term_naive
+from .core import Params, SequenceKind, initial_pair, reflected, term_naive
 from .exact import OpCounter, Rational
 
 __all__ = [
@@ -95,55 +95,10 @@ def _exact_div(x: int, d: int) -> int:
     return quotient
 
 
-def _coprime_base(values: tuple[int, ...]) -> list[int]:
-    """Pairwise coprime integers > 1 whose powers multiply out to each value.
-
-    Gcd refinement: any two elements with a common factor g are replaced by
-    g and their cofactors until none is left, so nothing is ever factored.
-    """
-    base: list[int] = []
-    pending = [v for v in values if v > 1]
-    while pending:
-        x = pending.pop()
-        for i, q in enumerate(base):
-            g = gcd(x, q)
-            if g > 1:
-                del base[i]
-                pending.extend(y for y in (g, q // g, x // g) if y > 1)
-                break
-        else:
-            base.append(x)
-    return base
-
-
-def _valuation(x: int, q: int) -> int:
-    count = 0
-    while x % q == 0:
-        x //= q
-        count += 1
-    return count
-
-
 def _fraction(pt: _IntegerPoint, n: int, numer: int) -> Rational:
-    """x(n) as one Fraction, given x'(n) = numer / (-c)^max(-n, 0) at the integer point.
-
-    The powers in lam^zeta(n+1) (lam mu)^floor((n-1)/2) m (-c)^max(-n, 0),
-    some of them negative, are summed as exponents over a coprime base, so
-    the factors they share cancel before any big product is formed; the
-    constructor's gcd then takes what is left.
-    """
-    half, k = (n - 1) // 2, max(-n, 0)
-    powers = ((pt.lam, (n + 1) % 2 + half), (pt.mu, half), (abs(pt.c), k), (pt.m, 1))
-    if k % 2 and pt.c > 0:  # (-c)^k < 0
-        numer = -numer
-    num, den = numer, 1
-    for q in _coprime_base((pt.lam, pt.mu, abs(pt.c), pt.m)):
-        exponent = sum(e * _valuation(x, q) for x, e in powers)
-        if exponent > 0:
-            den *= q**exponent
-        elif exponent < 0:
-            num *= q**-exponent
-    return Fraction(num, den)
+    """x(n) as one Fraction, given x'(n) = numer at the integer point, n >= 1."""
+    half = (n - 1) // 2
+    return Fraction(numer, pt.lam ** ((n + 1) % 2 + half) * pt.mu**half * pt.m)
 
 
 def _times_ratio(pt: _IntegerPoint, k: int, x: int, counter: OpCounter | None) -> int:
@@ -160,13 +115,6 @@ def _from_u(pt: _IntegerPoint, k: int, u_prev: int, u_k: int, counter: OpCounter
     if counter is not None:
         counter.add(3)
     return pt.x1 * u_k + _times_ratio(pt, k, pt.c * pt.x0 * u_prev, counter)
-
-
-def _reflect(pt: _IntegerPoint, k: int, u_k: int, u_next: int, counter: OpCounter | None) -> int:
-    """(-c)^k x'(-k) = (b/a)^zeta(k) x0 u'(k+1) - x1 u'(k) for k >= 1."""
-    if counter is not None:
-        counter.add(2)
-    return _times_ratio(pt, k, pt.x0 * u_next, counter) - pt.x1 * u_k
 
 
 def _u_pair(pt: _IntegerPoint, n: int, counter: OpCounter | None) -> tuple[int, int]:
@@ -218,7 +166,7 @@ def uv_doubling(
         raise ValueError("doubling is defined for n >= 0")
     pt = _integer_point(p, SequenceKind.U)
     u_n, u_next = _u_pair(pt, n, counter)
-    return _fraction(pt, n, u_n), _fraction(pt, n + 1, u_next)
+    return _fraction(pt, n, u_n) if n else Fraction(0), _fraction(pt, n + 1, u_next)
 
 
 def term_doubling(
@@ -226,19 +174,17 @@ def term_doubling(
 ) -> Rational:
     """Term at any integer index via pair doubling on the u-sequence.
 
-    x'(k) for k >= 1 combines u'(k-1) and u'(k); x'(-k) reflects u'(k) and
-    u'(k+1).  Both pairs come from ``_u_pair`` on ints at the integer point,
-    and the result is one Fraction (see the module docstring).
+    x'(n) for n >= 1 combines u'(n-1) and u'(n), which come from ``_u_pair``
+    on ints at the integer point, and the result is one Fraction (see the
+    module docstring).  A negative index is the same route at the reflected
+    point.
     """
-    pt = _integer_point(p, kind)
-    k = abs(n)
     if n == 0:
-        numer = pt.x0
-    elif n > 0:
-        numer = _from_u(pt, k, *_u_pair(pt, k - 1, counter), counter)
-    else:
-        numer = _reflect(pt, k, *_u_pair(pt, k, counter), counter)
-    return _fraction(pt, n, numer)
+        return initial_pair(p, kind)[0]
+    if n < 0:
+        p, kind, n = reflected(p, kind), SequenceKind.W, -n
+    pt = _integer_point(p, kind)
+    return _fraction(pt, n, _from_u(pt, n, *_u_pair(pt, n - 1, counter), counter))
 
 
 def _square(m: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -256,24 +202,23 @@ def term_matrix(
     At the integer point, P = [[a, c], [1, 0]] [[b, c], [1, 0]] = [[ab + c,
     ac], [b, c]] maps (x'(j+1), x'(j)) to (x'(j+3), x'(j+2)) for odd j.  One
     single step takes the initial pair to (x'(2), x'(1)), and P^e with
-    e = (k-1)//2 takes that to (x'(2e+2), x'(2e+1)), so x'(k) for k >= 1 is
-    read from the top row when k is even and from the bottom row when k is
-    odd.  P^e is built most significant bit first: each level squares the
-    power and a set bit multiplies it by P, whose entries are small.  x'(-k)
-    reflects u'(k) and u'(k+1), read from both rows of P^e applied to the
-    u-pair, the second by one more step when k is even.  The result is one
-    Fraction (see the module docstring).
+    e = (n-1)//2 takes that to (x'(2e+2), x'(2e+1)), so x'(n) for n >= 1 is
+    read from the top row when n is even and from the bottom row when n is
+    odd; only that row is formed.  P^e is built most significant bit first:
+    each level squares the power and a set bit multiplies it by P, whose
+    entries are small.  The result is one Fraction (see the module
+    docstring).  A negative index is the same route at the reflected point.
     """
-    pt = _integer_point(p, kind)
     if n == 0:
-        return _fraction(pt, 0, pt.x0)
-    a, b, c = pt.a, pt.b, pt.c
-    k = abs(n)
-    x0, x1 = (pt.x0, pt.x1) if n > 0 else (0, 1)
+        return initial_pair(p, kind)[0]
+    if n < 0:
+        p, kind, n = reflected(p, kind), SequenceKind.W, -n
+    pt = _integer_point(p, kind)
+    a, b, c, x0, x1 = pt.a, pt.b, pt.c, pt.x0, pt.x1
     x2 = a * x1 + c * x0
     ab_c, ac = a * b + c, a * c
     power = (1, 0, 0, 1)
-    for bit in bin((k - 1) // 2)[2:]:
+    for bit in bin((n - 1) // 2)[2:]:
         power = _square(power)
         if bit == "1":
             m11, m12, m21, m22 = power
@@ -282,19 +227,10 @@ def term_matrix(
         if counter is not None:
             counter.add(13 if bit == "1" else 5)
     m11, m12, m21, m22 = power
-    top = m11 * x2 + m12 * x1
-    bottom = m21 * x2 + m22 * x1
+    numer = m21 * x2 + m22 * x1 if n % 2 else m11 * x2 + m12 * x1
     if counter is not None:
-        counter.add(8)  # x2, ab + c, ac and the two rows
-    if n > 0:
-        return _fraction(pt, n, bottom if k % 2 else top)
-    if k % 2:
-        u_k, u_next = bottom, top
-    else:
-        u_k, u_next = top, b * top + c * bottom
-        if counter is not None:
-            counter.add(2)
-    return _fraction(pt, n, _reflect(pt, k, u_k, u_next, counter))
+        counter.add(6)  # x2, ab + c, ac and the row read out
+    return _fraction(pt, n, numer)
 
 
 def term_fast(

@@ -192,6 +192,8 @@ class SumConstants:
     d_printed: Rational
     d_corrected: Rational
 
+    __repr__ = dataclass_repr
+
 
 _ONE = Fraction(1)
 

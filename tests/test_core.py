@@ -22,6 +22,7 @@ from biperiodic.core import (
     reflect_u,
     reflect_v,
     reflect_w,
+    reflected,
     table_notation,
     term_naive,
     term_range,
@@ -195,6 +196,15 @@ class TestReflections:
             reflect_u(P_STAR, 0, Fraction(0))
         with pytest.raises(ValueError):
             negative_term(P_STAR, W, -1)
+
+    @settings(max_examples=40)
+    @given(p=points, kind=st.sampled_from(SequenceKind), k=st.integers(0, 64))
+    def test_reflected_point(self, p: Params, kind: SequenceKind, k: int) -> None:
+        # the reflected point's W-sequence runs the given sequence backward,
+        # and reflecting it again gives back the point with its initial pair
+        mirror = reflected(p, kind)
+        assert reflected(mirror, W) == Params(p.a, p.b, p.c, *initial_pair(p, kind))
+        assert TermTable(mirror, W)[k] == term_naive(p, kind, -k)
 
 
 class TestKindBridges:

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biperiodic.core import DegenerateParametersError, Params, SequenceKind, term_naive, zeta
+from biperiodic.core import (
+    DegenerateParametersError,
+    Params,
+    SequenceKind,
+    table_notation,
+    term_naive,
+    zeta,
+)
 from biperiodic.exact import Mat2, mat_det, mat_pow, rat_pow
 from biperiodic.identities import (
     Family,
@@ -460,3 +467,15 @@ class TestRepr:
         assert "a=Fraction(1, 1" + "0" * 5000 + ")" in shown[1]
         with no_digit_limit():
             assert shown == (generated_repr(report), generated_repr(skip))
+
+    def test_matrix_constants_and_notation_past_the_digit_limit(self) -> None:
+        big = Fraction(1, 10**5000)
+        matrix = Mat2(big, 1, 1, 1)
+        constants = sum_constants(Params(Fraction(1, 2), 3, Fraction(-2, 5), 1, 1), 20000)
+        shown = repr(matrix), table_notation(Params(big, 1, 1)), repr(constants)
+        with no_digit_limit():
+            assert shown == (
+                generated_repr(matrix),
+                f"w(0,1;{big},1,1)",
+                generated_repr(constants),
+            )
