@@ -12,11 +12,13 @@ L1.1-L1.4   quadratic, addition, subtraction, and convolution identities of
 L2.1-L2.7   mixed u/v identities; require a nonzero discriminant
 SUM.u/.v    weighted partial sums along an arithmetic index progression,
             checked three ways: direct summation, the matrix geometric
-            series, and the scalar closed form with the determinant-derived
-            constant.  A simplified variant of the constant (the "printed
-            form", which drops the (ab)^floor(m/2) weight and flips one
-            sign) is evaluated alongside for comparison only: its mismatches
-            are expected and reported as warnings, never failures.
+            series (evaluated on pairs of ints in the algebra that K
+            generates), and the scalar closed form with the
+            determinant-derived constant.  A simplified variant of the
+            constant (the "printed form", which drops the (ab)^floor(m/2)
+            weight and flips one sign) is evaluated alongside for comparison
+            only: its mismatches are expected and reported as warnings,
+            never failures.
 BINOM.u/.v  binomial expansion of the term at index mn+r in powers of u(m)
             and u(m-1)
 CASSINI_W   Cassini-style quadratic for w
@@ -43,8 +45,10 @@ per sequence, held in a one-entry memo keyed by the parameter point.
 the same three tables, and each term is walked once per sample.  The memo
 also holds the point's constants: b/a and a/b (the parity weights (b/a)^e
 and (a/b)^e only take e = 0 or 1, so they are lookups), the discriminant and
-q = D/a^2.  The matrix series of :func:`sum_oracle` stays independent of the
-tables.
+q = D/a^2.  The geometric series of :func:`sum_oracle` stays independent of
+the tables, of the scalar closed form and of the fast routes: it multiplies
+pairs of ints that stand for elements of the algebra K generates, with its
+own helpers, and builds no matrix.
 
 A SUM check sums only its own sequence: one direct sum, one
 :func:`sum_constants`, and one corrected and one printed closed form.  The
@@ -70,8 +74,7 @@ from .core import (
     discriminant,
     zeta,
 )
-from .exact import Mat2, Rational, dataclass_repr, mat_det, mat_inv, mat_mul, mat_pow, to_text
-from .matforms import MatrixTag, build
+from .exact import Rational, dataclass_repr, to_text
 
 __all__ = [
     "Family",
@@ -393,25 +396,70 @@ def _validate_sum_indices(m: int, n: int, r: int) -> None:
         raise ValueError("partial sums need m >= 1, n >= 0, r >= 0")
 
 
+def _k_algebra(p: Params) -> tuple[int, int, int]:
+    """The integers (L, G, Delta) of K = (G + s)/(2L), where s = L*H and s^2 = Delta.
+
+    L = lcm(den(ab), den(c)), G = L*ab and Delta = G^2 + 4*G*(L*c) = L^2 * D.
+    """
+    ab = p.a * p.b
+    scale = math.lcm(ab.denominator, p.c.denominator)
+    g = ab.numerator * (scale // ab.denominator)
+    c = p.c.numerator * (scale // p.c.denominator)
+    return scale, g, g * g + 4 * g * c
+
+
+def _pair_mul(x1: int, y1: int, x2: int, y2: int, delta: int) -> tuple[int, int]:
+    """(x1 + y1 s)(x2 + y2 s) with s^2 = delta."""
+    return x1 * x2 + y1 * y2 * delta, x1 * y2 + x2 * y1
+
+
+def _pair_pow(x: int, y: int, e: int, delta: int) -> tuple[int, int]:
+    """(x + y s)^e with s^2 = delta, e >= 0, by left-to-right square-and-multiply."""
+    rx, ry = 1, 0
+    for bit in bin(e)[2:]:
+        rx, ry = rx * rx + ry * ry * delta, 2 * rx * ry
+        if bit == "1":
+            rx, ry = _pair_mul(rx, ry, x, y, delta)
+    return rx, ry
+
+
 def sum_oracle(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
     """Both weighted partial sums read off the matrix geometric series.
 
     Evaluates (I - K^m)^-1 (K^r - K^(m(n+1)+r)) exactly and doubles the
     (2,1) and (1,1) entries to obtain the u- and v-sums.  Requires a nonzero
     discriminant and a nonsingular I - K^m.
+
+    The series is evaluated on pairs of ints in the commutative algebra that
+    K generates.  H = [[0, D], [1, 0]] has H^2 = D*I, and K = (ab*I + H)/2.
+    With the integers L, G and Delta of :func:`_k_algebra`,
+    K = (G + sqrt(Delta))/(2L), where s = sqrt(Delta) stands for L*H: the
+    pair (x, y) is x + y s, the matrix x*I + y*L*H, and pairs multiply as
+    those matrices do.  So K^e = (x_e + y_e s)/(2L)^e with
+    (x_e, y_e) = (G + s)^e.  With Q = (2L)^m, I - K^m = (A + B s)/Q for
+    (A, B) = (Q - x_m, -y_m).  In place of a matrix inverse, its inverse is
+    the conjugate over the norm, Q(A - B s)/N, where
+    N = A^2 - B^2 Delta = Q^2 det(I - K^m); so N = 0 is the singular case.
+    The sum is (X + Y s)/(N (2L)^(mn+r)) with
+    X + Y s = (A - B s)(x_r + y_r s)(Q^(n+1) - (x_m + y_m s)^(n+1)), and its
+    (2,1) and (1,1) entries are Y*L and X over that denominator.
     """
     _validate_sum_indices(m, n, r)
-    if discriminant(p) == 0:
+    scale, g, delta = _k_algebra(p)
+    if delta == 0:
         raise DegenerateParametersError("discriminant is zero for these parameters")
-    k = build(MatrixTag.K, p)
-    k_m = mat_pow(k, m)
-    resolvent = Mat2.identity() - k_m
-    if mat_det(resolvent) == 0:
+    x_m, y_m = _pair_pow(g, 1, m, delta)
+    q = (2 * scale) ** m
+    res_x, res_y = q - x_m, -y_m
+    norm = res_x * res_x - res_y * res_y * delta
+    if norm == 0:
         raise SingularSeriesError("partial-sum constant det(I - K^m) is zero for this m")
-    k_r = mat_pow(k, r)
-    k_top = mat_mul(mat_pow(k_m, n + 1), k_r)
-    total = mat_mul(mat_inv(resolvent), k_r - k_top)
-    return 2 * total.m21, 2 * total.m11
+    x_r, y_r = _pair_pow(g, 1, r, delta)
+    x_top, y_top = _pair_pow(x_m, y_m, n + 1, delta)
+    x, y = _pair_mul(res_x, -res_y, x_r, y_r, delta)
+    x, y = _pair_mul(x, y, q ** (n + 1) - x_top, -y_top, delta)
+    den = norm * (2 * scale) ** (m * n + r)
+    return Fraction(2 * y * scale, den), Fraction(2 * x, den)
 
 
 # The u-sum weighs u(t) by a^(zeta(t)-1) and the v-sum v(t) by a^zeta(t): each

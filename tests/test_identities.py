@@ -7,24 +7,28 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from biperiodic.core import (
     DegenerateParametersError,
     Params,
     SequenceKind,
+    discriminant,
     table_notation,
     term_naive,
     zeta,
 )
-from biperiodic.exact import Mat2, mat_det, mat_pow, rat_pow
+from biperiodic.exact import Mat2, mat_det, mat_inv, mat_mul, mat_pow, rat_pow
 from biperiodic.identities import (
     Family,
     IdentityId,
     SingularSeriesError,
     SkipRecord,
     SuiteConfig,
+    _k_algebra,
+    _pair_pow,
+    _validate_sum_indices,
     check_addition,
     check_binomial,
     check_cassini,
@@ -52,6 +56,27 @@ PRINTED_ZERO = Params(1, 4, 3)  # printed constant 0 at m = 2, corrected 105
 
 def small_indices(lo: int = 1, hi: int = 6) -> st.SearchStrategy[int]:
     return st.integers(min_value=lo, max_value=hi)
+
+
+nonzero_rationals = st.fractions(-4, 4, max_denominator=6).filter(bool)
+# run_suite's parameter grid: numerators in [-5, 5], denominators in [1, 5]
+grid_nonzero = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 5))
+
+
+def matrix_series_oracle(p: Params, m: int, n: int, r: int) -> tuple[Fraction, Fraction]:
+    """The geometric series on Mat2 products, the reference for sum_oracle."""
+    _validate_sum_indices(m, n, r)
+    if discriminant(p) == 0:
+        raise DegenerateParametersError("discriminant is zero for these parameters")
+    k = build(MatrixTag.K, p)
+    k_m = mat_pow(k, m)
+    resolvent = Mat2.identity() - k_m
+    if mat_det(resolvent) == 0:
+        raise SingularSeriesError("partial-sum constant det(I - K^m) is zero for this m")
+    k_r = mat_pow(k, r)
+    k_top = mat_mul(mat_pow(k_m, n + 1), k_r)
+    total = mat_mul(mat_inv(resolvent), k_r - k_top)
+    return 2 * total.m21, 2 * total.m11
 
 
 class TestIdentityId:
@@ -258,6 +283,46 @@ class TestPartialSums:
         with pytest.raises(SingularSeriesError):
             sum_closed(SINGULAR_SUM, 1, 2, 0)
 
+
+    @given(
+        abc=st.tuples(nonzero_rationals, nonzero_rationals, nonzero_rationals),
+        e=st.integers(0, 40),
+    )
+    def test_pair_power_is_the_power_of_k(
+        self, abc: tuple[Fraction, Fraction, Fraction], e: int
+    ) -> None:
+        p = Params(*abc)
+        assume(discriminant(p) != 0)
+        scale, g, delta = _k_algebra(p)
+        assert delta == scale * scale * discriminant(p)
+        x, y = _pair_pow(g, 1, e, delta)
+        denom = (2 * scale) ** e
+        as_matrix = Mat2.identity().scaled(Fraction(x, denom)) + build(MatrixTag.H, p).scaled(
+            Fraction(y * scale, denom)
+        )
+        assert as_matrix == mat_pow(build(MatrixTag.K, p), e)
+
+    @given(
+        abc=st.tuples(grid_nonzero, grid_nonzero, grid_nonzero),
+        m=st.integers(1, 24),
+        n=st.integers(0, 24),
+        r=st.integers(0, 24),
+    )
+    @example(abc=(DEGENERATE.a, DEGENERATE.b, DEGENERATE.c), m=1, n=1, r=0)
+    @example(abc=(SINGULAR_SUM.a, SINGULAR_SUM.b, SINGULAR_SUM.c), m=1, n=2, r=0)
+    @example(abc=(Fraction(1, 2), Fraction(3), Fraction(-2, 5)), m=24, n=24, r=24)
+    def test_oracle_equals_the_matrix_series(
+        self, abc: tuple[Fraction, Fraction, Fraction], m: int, n: int, r: int
+    ) -> None:
+        p = Params(*abc)
+
+        def outcome(oracle) -> object:
+            try:
+                return oracle(p, m, n, r)
+            except (DegenerateParametersError, SingularSeriesError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(sum_oracle) == outcome(matrix_series_oracle)
 
     @pytest.mark.parametrize("seq", ["u", "v"])
     def test_check_picks_from_the_pair_forms(self, seq: str) -> None:
