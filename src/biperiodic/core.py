@@ -23,9 +23,11 @@ walked, so repeated lookups at one parameter point cost only the steps not
 yet taken, and :func:`term_range` is a slice of a fresh table.  A table walks
 only upward, on Python ints, scaled by the known denominator m d^k of index k
 (d = lcm of the denominators of a, b, c; m = lcm of those of the initial
-pair), and builds one ``Fraction`` per index, the first time that index is
-read.  Negative indices are positive indices of the reflected point (see
-:func:`reflected`), read from a mirror table there.
+pair).  It builds one ``Fraction`` per index, the first time that index is
+read with ``table[k]``; ``table.pair(k)`` reads the same term as an
+unreduced pair of ints and builds none.  Negative indices are positive
+indices of the reflected point (see :func:`reflected`), read from a mirror
+table there.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import OpCounter, Rational, as_rational, dataclass_repr, rat_pow, to_text
 
@@ -82,6 +85,9 @@ class Params:
     a, b, c must all be nonzero; w0, w1 are arbitrary and default to (0, 1).
     Degenerate combinations such as a zero discriminant are allowed here;
     the operations that cannot tolerate them reject them individually.
+
+    The hash is the hash of the field tuple, computed on the first ``hash()``
+    and kept, so a point used as a memo key hashes its five fields once.
     """
 
     a: Rational
@@ -97,6 +103,13 @@ class Params:
             object.__setattr__(self, name, as_rational(getattr(self, name)))
         if self.a == 0 or self.b == 0 or self.c == 0:
             raise ValueError("parameters a, b, c must all be nonzero")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.a, self.b, self.c, self.w0, self.w1))
 
 
 def table_notation(p: Params) -> str:
@@ -176,7 +189,8 @@ class TermTable:
     """Terms of one sequence at one parameter point, walked on demand.
 
     ``table[n]`` is the term at any integer n; ``table[lo:stop]`` is the list
-    of terms at lo..stop-1.  A lookup past the walked window extends it by
+    of terms at lo..stop-1; ``table.pair(n)`` is the term at n as an
+    unreduced pair of ints.  A lookup past the walked window extends it by
     the forward step, so every term is computed once per table however often
     it is read.
 
@@ -185,9 +199,10 @@ class TermTable:
 
         N_k = (chi(k) d) N_{k-1} + (c d^2) N_{k-2}
 
-    has integer coefficients, so no step reduces a fraction.  The one
-    ``Fraction`` of an index k >= 0 is built the first time it is read and
-    kept.  Index -k is index k of a mirror table at the reflected point (see
+    has integer coefficients, so no step reduces a fraction.  ``pair(k)``
+    returns (N_k, m d^k) and builds no ``Fraction``; ``table[k]`` builds the
+    one ``Fraction`` of an index k >= 0 the first time it is read and keeps
+    it.  Index -k is index k of a mirror table at the reflected point (see
     :func:`reflected`), built on the first negative read; reflecting twice
     gives back this point, so the mirror is only ever read at k >= 0.
     """
@@ -195,11 +210,19 @@ class TermTable:
     def __init__(self, p: Params, kind: SequenceKind) -> None:
         self.params, self.kind = p, kind
         t0, t1 = initial_pair(p, kind)
-        d = math.lcm(p.a.denominator, p.b.denominator, p.c.denominator)
+        a, b, c = p.a, p.b, p.c
+        d = math.lcm(a.denominator, b.denominator, c.denominator)
         m = math.lcm(t0.denominator, t1.denominator)
         self._d, self._m = d, m
-        self._steps = (int(p.a * d), int(p.b * d), int(p.c * d * d))
-        self._nums = {0: int(t0 * m), 1: int(t1 * m * d)}  # N_k for 0 <= k <= hi
+        self._steps = (
+            a.numerator * (d // a.denominator),
+            b.numerator * (d // b.denominator),
+            c.numerator * (d // c.denominator) * d,
+        )
+        self._nums = {  # N_k for 0 <= k <= hi
+            0: t0.numerator * (m // t0.denominator),
+            1: t1.numerator * (m // t1.denominator) * d,
+        }
         self._terms = {0: t0, 1: t1}  # built Fractions, at some 0 <= k <= hi
         self._hi = 1
         self._mirror: TermTable | None = None
@@ -210,19 +233,32 @@ class TermTable:
                 raise ValueError("term slices need a start and a stop and no step")
             return [self[k] for k in range(key.start, key.stop)]
         term = self._terms.get(key)
-        if term is not None:
-            return term
-        if key < 0:
-            mirror = self._mirror
-            if mirror is None:
-                # two threads may each build one; both hold equal values
-                mirror = self._mirror = TermTable(reflected(self.params, self.kind), SequenceKind.W)
-            return mirror[-key]
-        if key > self._hi:
-            self._extend_up(key)
-        term = Fraction(self._nums[key], self._m * self._d**key)
-        self._terms[key] = term
+        if term is None:
+            if key < 0:
+                return self._reflection()[-key]
+            term = self._terms[key] = Fraction(*self.pair(key))
         return term
+
+    def pair(self, k: int) -> tuple[int, int]:
+        """The term at index k as the unreduced pair (N, den) of ints, den > 0.
+
+        ``Fraction(N, den) == table[k]``.  At k >= 0 the pair is
+        (N_k, m d^k), so the denominator at an index k >= 0 divides the
+        denominator at every higher index.  Index -k is read from the mirror
+        table, so its denominator is that table's m d^k.
+        """
+        if k < 0:
+            return self._reflection().pair(-k)
+        if k > self._hi:
+            self._extend_up(k)
+        return self._nums[k], self._m * self._d**k
+
+    def _reflection(self) -> TermTable:
+        mirror = self._mirror
+        if mirror is None:
+            # two threads may each build one; both hold equal values
+            mirror = self._mirror = TermTable(reflected(self.params, self.kind), SequenceKind.W)
+        return mirror
 
     def _extend_up(self, n: int) -> None:
         # Reads the bound once and moves it only after the value at the new

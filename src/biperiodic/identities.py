@@ -44,23 +44,29 @@ per sequence, held in a one-entry memo keyed by the parameter point.
 ``run_suite`` checks one point per sample, so every check of a sample reads
 the same three tables, and each term is walked once per sample.  The memo
 also holds the point's constants: b/a and a/b (the parity weights (b/a)^e
-and (a/b)^e only take e = 0 or 1, so they are lookups), the discriminant and
-q = D/a^2.  The geometric series of :func:`sum_oracle` stays independent of
-the tables, of the scalar closed form and of the fast routes: it multiplies
-pairs of ints that stand for elements of the algebra K generates, with its
-own helpers, and builds no matrix.
+and (a/b)^e only take e = 0 or 1, so they are lookups), ab as a pair of
+ints, the discriminant and q = D/a^2.  A point hashes its fields once, on
+the first lookup (see :class:`~biperiodic.core.Params`).  The geometric
+series of :func:`sum_oracle` stays independent of the tables, of the scalar
+closed form and of the fast routes: it multiplies pairs of ints that stand
+for elements of the algebra K generates, with its own helpers, and builds no
+matrix.
 
 A SUM check sums only its own sequence: one direct sum, one
 :func:`sum_constants`, and one corrected and one printed closed form.  The
 pair-returning :func:`sum_direct` and :func:`sum_closed` run the same
-per-sequence helpers for u and for v.
+per-sequence helpers for u and for v.  These sides run on Python ints and
+build one ``Fraction`` per value: they read terms as unreduced pairs
+(:meth:`~biperiodic.core.TermTable.pair`), the direct sum adds over the
+denominator of its last term, and the two closed forms share the four
+products of a monomial and a term that they are made of.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -201,19 +207,25 @@ class SumConstants:
 _ONE = Fraction(1)
 
 
+def _ints(x: Rational) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
 class _Point:
     """The term tables and the scalar constants of one parameter point.
 
     ``ba[e]`` and ``ab[e]`` are (b/a)^e and (a/b)^e for the exponents e = 0
-    and 1, the only ones the parity products of the identities take.
+    and 1, the only ones the parity products of the identities take;
+    ``ab_ints`` is the product ab as (numerator, denominator).
     """
 
-    __slots__ = ("u", "v", "w", "ba", "ab", "disc", "q")
+    __slots__ = ("u", "v", "w", "ba", "ab", "ab_ints", "disc", "q")
 
     def __init__(self, p: Params) -> None:
         self.u, self.v, self.w = (TermTable(p, kind) for kind in SequenceKind)
         self.ba = (_ONE, p.b / p.a)
         self.ab = (_ONE, p.a / p.b)
+        self.ab_ints = _ints(p.a * p.b)
         self.disc = discriminant(p)
         self.q = self.disc / (p.a * p.a)
 
@@ -381,13 +393,28 @@ def check_square_difference(p: Params, n: int) -> IdentityReport:
 
 
 def sum_constants(p: Params, m: int) -> SumConstants:
-    """Both normalizing constants of the partial-sum closed form at step m."""
+    """Both normalizing constants of the partial-sum closed form at step m.
+
+    printed = 1 - a^z v(m) + (ab)^z (-c)^m and
+    corrected = 1 - (ab)^floor(m/2) a^z v(m) + (-abc)^m, with z = zeta(m).
+    v(m) is read as a pair of ints, and each constant is summed over the
+    product of its terms' denominators and built as one ``Fraction``.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    v_m = _tables(p).v[m]
-    z = zeta(m)
-    printed = 1 - p.a ** z * v_m + (p.a * p.b) ** z * (-p.c) ** m
-    corrected = 1 - (p.a * p.b) ** (m // 2) * p.a ** z * v_m + (-(p.a * p.b * p.c)) ** m
+    pt = _tables(p)
+    v, v_den = pt.v.pair(m)
+    z, k = zeta(m), m // 2
+    alpha, beta = _ints(p.a)
+    g, h = pt.ab_ints
+    gamma, delta = _ints(p.c)
+    # each constant is 1 - head + tail, over the product of the denominators
+    head, head_den = alpha**z * v, beta**z * v_den  # a^z v(m)
+    tail, tail_den = g**z * (-gamma) ** m, h**z * delta**m  # (ab)^z (-c)^m
+    printed = Fraction((head_den - head) * tail_den + tail * head_den, head_den * tail_den)
+    head, head_den = g**k * head, h**k * head_den  # (ab)^floor(m/2) a^z v(m)
+    tail, tail_den = (-g * gamma) ** m, (h * delta) ** m  # (-abc)^m
+    corrected = Fraction((head_den - head) * tail_den + tail * head_den, head_den * tail_den)
     return SumConstants(printed, corrected)
 
 
@@ -463,29 +490,94 @@ def sum_oracle(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
 
 
 # The u-sum weighs u(t) by a^(zeta(t)-1) and the v-sum v(t) by a^zeta(t): each
-# sequence is a table plus that shift of the exponent of a.
+# sequence is a table plus that shift of the exponent of a.  Both sides below
+# run on ints: with ab = g/h and a = alpha/beta, the weight
+# (ab)^floor(t/2) a^(zeta(t)+shift) of term t is g^floor(t/2) A over
+# h^floor(t/2) alpha beta, where A = beta^2, alpha beta or alpha^2 for the
+# exponents -1, 0 and 1 of a.
+
+
+def _a_weights(p: Params) -> tuple[int, int, int]:
+    """a^e times alpha*beta for e = -1, 0, 1, indexed by e + 1."""
+    alpha, beta = _ints(p.a)
+    return beta * beta, alpha * beta, alpha * alpha
 
 
 def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> Rational:
-    """One weighted partial sum by plain term-by-term addition."""
-    total = Fraction(0)
-    for j in range(n + 1):
-        t = m * j + r
-        total += (p.a * p.b) ** (t // 2) * p.a ** (zeta(t) + shift) * xs[t]
-    return total
+    """One weighted partial sum by plain term-by-term addition.
+
+    The sum runs on ints over the denominator m d^T h^floor(T/2) alpha beta
+    of its last index T = mn + r, where m d^T is the table's (see
+    :meth:`~biperiodic.core.TermTable.pair`), and builds one ``Fraction``.
+    """
+    g, h = _tables(p).ab_ints
+    weights = _a_weights(p)
+    # num is the sum so far over den h^half alpha beta, den the table's at t
+    num, den, half, g_half = 0, 1, 0, 1
+    for t in range(r, m * n + r + 1, m):
+        x, x_den = xs.pair(t)
+        step = t // 2 - half
+        half += step
+        g_half *= g**step
+        num = num * h**step * (x_den // den) + g_half * weights[zeta(t) + shift + 1] * x
+        den = x_den
+    return Fraction(num, den * h**half * weights[1])
+
+
+class _ClosedTerms(NamedTuple):
+    """The four monomial-term products of the closed form, over one denominator.
+
+    With outer(t) = (ab)^floor(t/2) a^(zeta(t)+shift) and the bracket
+    weight wt(t) = (-c)^m a^(zeta(m) zeta(t+1)) b^(zeta(m) zeta(t)), they
+    are outer(r) x_r, outer(r) wt(r) x_(r-m), outer(top) x_top and
+    outer(top) wt(top) x_(top-m), with top = m(n+1) + r.
+    """
+
+    lead: int
+    lead_back: int
+    top: int
+    top_back: int
+    den: int
+
+
+def _bracket_terms(p: Params, xs: TermTable, shift: int, m: int, t: int) -> tuple[int, int, int]:
+    """outer(t) x_t and outer(t) wt(t) x_(t-m) as two numerators over one denominator."""
+    x, x_den = xs.pair(t)
+    back, back_den = xs.pair(t - m)
+    if t >= m:  # both are upward reads, so back_den divides x_den
+        back *= x_den // back_den
+    else:  # x_(t-m) is read from the mirror table
+        x, back, x_den = x * back_den, back * x_den, x_den * back_den
+    alpha, beta = _ints(p.a)
+    b_num, b_den = _ints(p.b)
+    gamma, delta = _ints(p.c)
+    e_a, e_b = zeta(m) * zeta(t + 1), zeta(m) * zeta(t)
+    wt = (-gamma) ** m * alpha**e_a * b_num**e_b
+    wt_den = delta**m * beta**e_a * b_den**e_b
+    g, h = _tables(p).ab_ints
+    weights = _a_weights(p)
+    outer, outer_den = g ** (t // 2) * weights[zeta(t) + shift + 1], h ** (t // 2) * weights[1]
+    return outer * x * wt_den, outer * wt * back, outer_den * wt_den * x_den
+
+
+def _closed_terms(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> _ClosedTerms:
+    """The products that the corrected and the printed closed form share."""
+    lead, lead_back, lead_den = _bracket_terms(p, xs, shift, m, r)
+    top, top_back, top_den = _bracket_terms(p, xs, shift, m, m * n + m + r)
+    return _ClosedTerms(
+        lead * top_den, lead_back * top_den, top * lead_den, top_back * lead_den, lead_den * top_den
+    )
 
 
 def _closed_sum(
-    p: Params,
-    xs: TermTable,
-    shift: int,
-    m: int,
-    n: int,
-    r: int,
-    consts: SumConstants,
-    corrected: bool,
+    p: Params, terms: _ClosedTerms, m: int, consts: SumConstants, corrected: bool
 ) -> Rational | None:
-    """One partial sum from the scalar closed form (see :func:`sum_closed`)."""
+    """One partial sum from the scalar closed form (see :func:`sum_closed`).
+
+    (outer(r) bracket(r, -1) - outer(top) bracket(top, tail_sign)) / d, where
+    bracket(t, sign) = x_t + sign bracket_weight wt(t) x_(t-m), is summed
+    from ``terms`` and built as one ``Fraction``.
+    """
     d = consts.d_corrected if corrected else consts.d_printed
     if d == 0:
         if corrected:
@@ -493,26 +585,24 @@ def _closed_sum(
                 "partial-sum constant det(I - K^m) is zero for this m"
             )
         return None
-    bracket_weight = (p.a * p.b) ** (m // 2) if corrected else _ONE
+    if corrected:
+        g, h = _tables(p).ab_ints
+        weight, weight_den = g ** (m // 2), h ** (m // 2)
+    else:
+        weight, weight_den = 1, 1
     tail_sign = -1 if corrected else 1
-    top = m * n + m + r
-    zm = zeta(m)
-
-    def bracket(t: int, sign: int) -> Rational:
-        weight = (-p.c) ** m * p.a ** (zm * zeta(t + 1)) * p.b ** (zm * zeta(t))
-        return xs[t] + sign * bracket_weight * weight * xs[t - m]
-
-    def outer(t: int) -> Rational:
-        return (p.a * p.b) ** (t // 2) * p.a ** (zeta(t) + shift)
-
-    return (outer(r) * bracket(r, -1) - outer(top) * bracket(top, tail_sign)) / d
+    num = (terms.lead - terms.top) * weight_den - weight * (
+        terms.lead_back + tail_sign * terms.top_back
+    )
+    return Fraction(num * d.denominator, terms.den * weight_den * d.numerator)
 
 
 def sum_direct(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
     """Both weighted partial sums by plain term-by-term addition.
 
     u-sum: sum over j = 0..n of (ab)^floor((mj+r)/2) a^(zeta(mj+r)-1) u(mj+r);
-    the v-sum carries a^zeta(mj+r) instead.
+    the v-sum carries a^zeta(mj+r) instead.  Each sum is added on ints over
+    one denominator and built as one ``Fraction``.
     """
     _validate_sum_indices(m, n, r)
     pt = _tables(p)
@@ -530,14 +620,15 @@ def sum_closed(
     With ``corrected=False`` the simplified variant is evaluated verbatim:
     no bracket weight and a flipped sign on the closing bracket.  Its
     constant can vanish; that case returns None instead of dividing by zero.
+    Each sum is evaluated on ints and built as one ``Fraction``.
     """
     _validate_sum_indices(m, n, r)
     consts = sum_constants(p, m)
     pt = _tables(p)
-    u_sum = _closed_sum(p, pt.u, -1, m, n, r, consts, corrected)
+    u_sum = _closed_sum(p, _closed_terms(p, pt.u, -1, m, n, r), m, consts, corrected)
     if u_sum is None:
         return None
-    return u_sum, _closed_sum(p, pt.v, 0, m, n, r, consts, corrected)
+    return u_sum, _closed_sum(p, _closed_terms(p, pt.v, 0, m, n, r), m, consts, corrected)
 
 
 def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
@@ -546,7 +637,8 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     ``passed`` requires the direct sum, the matrix-series oracle, and the
     corrected closed form to agree exactly.  The simplified-constant value
     rides along in ``printed_form_value`` and is compared informally.
-    Only the sequence ``seq`` is summed, and the constants are computed once.
+    Only the sequence ``seq`` is summed, and the constants and the products
+    that both closed forms are made of are computed once.
     """
     if seq not in ("u", "v"):
         raise ValueError(f"seq must be 'u' or 'v', not {seq!r}")
@@ -556,8 +648,9 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     xs, shift = (pt.u, -1) if seq == "u" else (pt.v, 0)
     direct = _direct_sum(p, xs, shift, m, n, r)
     consts = sum_constants(p, m)
-    closed_value = _closed_sum(p, xs, shift, m, n, r, consts, corrected=True)
-    printed_value = _closed_sum(p, xs, shift, m, n, r, consts, corrected=False)
+    terms = _closed_terms(p, xs, shift, m, n, r)
+    closed_value = _closed_sum(p, terms, m, consts, corrected=True)
+    printed_value = _closed_sum(p, terms, m, consts, corrected=False)
     matches = None if printed_value is None else printed_value == direct
     return IdentityReport(
         IdentityId(Family.SUM, seq),
@@ -750,7 +843,19 @@ def run_suite(config: SuiteConfig) -> SuiteSummary:
                 except (DegenerateParametersError, SingularSeriesError) as exc:
                     skipped.append(SkipRecord(IdentityId(family, sub), sample, str(exc), p))
                     continue
-                results.append(replace(report, sample=sample))
+                results.append(
+                    IdentityReport(
+                        report.id,
+                        report.params,
+                        report.indices,
+                        report.lhs,
+                        report.rhs,
+                        report.passed,
+                        report.printed_form_value,
+                        report.printed_form_matches,
+                        sample,
+                    )
+                )
     results.sort(key=lambda rep: (rep.id.sort_key, rep.sample))
     skipped.sort(key=lambda rec: (rec.id.sort_key, rec.sample))
     passed = sum(1 for rep in results if rep.passed)

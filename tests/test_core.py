@@ -267,6 +267,19 @@ class TestTermTable:
             for n in order:
                 assert table[n] == term_naive(p, kind, n)
 
+    @settings(max_examples=20)
+    @given(p=points, order=st.permutations(range(-64, 65)))
+    def test_pairs_are_the_terms(self, p: Params, order: list[int]) -> None:
+        for kind in SequenceKind:
+            table = TermTable(p, kind)
+            pairs = {}
+            for k in order:
+                num, den = pairs[k] = table.pair(k)
+                assert den > 0 and Fraction(num, den) == table[k] == term_naive(p, kind, k)
+            # the sums of identities rely on this: upward denominators divide upward
+            for k in range(64):
+                assert pairs[k + 1][1] % pairs[k][1] == 0
+
     @settings(max_examples=15, deadline=None)
     @given(p=shared_points, picks=st.lists(st.integers(-64, 700), max_size=6))
     def test_integer_walk_matches_naive(self, p: Params, picks: list[int]) -> None:

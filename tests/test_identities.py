@@ -14,6 +14,7 @@ from biperiodic.core import (
     DegenerateParametersError,
     Params,
     SequenceKind,
+    TermTable,
     discriminant,
     table_notation,
     term_naive,
@@ -25,6 +26,7 @@ from biperiodic.identities import (
     IdentityId,
     SingularSeriesError,
     SkipRecord,
+    SumConstants,
     SuiteConfig,
     _k_algebra,
     _pair_pow,
@@ -77,6 +79,71 @@ def matrix_series_oracle(p: Params, m: int, n: int, r: int) -> tuple[Fraction, F
     k_top = mat_mul(mat_pow(k_m, n + 1), k_r)
     total = mat_mul(mat_inv(resolvent), k_r - k_top)
     return 2 * total.m21, 2 * total.m11
+
+
+# The Fraction forms of the direct sum, the closed form and the constants, the
+# references for the int forms of sum_direct, sum_closed and sum_constants.
+
+
+def fraction_sum_constants(p: Params, m: int) -> SumConstants:
+    v_m = TermTable(p, SequenceKind.V)[m]
+    z = zeta(m)
+    printed = 1 - p.a ** z * v_m + (p.a * p.b) ** z * (-p.c) ** m
+    corrected = 1 - (p.a * p.b) ** (m // 2) * p.a ** z * v_m + (-(p.a * p.b * p.c)) ** m
+    return SumConstants(printed, corrected)
+
+
+def fraction_direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> Fraction:
+    """One weighted partial sum by plain term-by-term addition."""
+    total = Fraction(0)
+    for j in range(n + 1):
+        t = m * j + r
+        total += (p.a * p.b) ** (t // 2) * p.a ** (zeta(t) + shift) * xs[t]
+    return total
+
+
+def fraction_closed_sum(
+    p: Params,
+    xs: TermTable,
+    shift: int,
+    m: int,
+    n: int,
+    r: int,
+    consts: SumConstants,
+    corrected: bool,
+) -> Fraction | None:
+    """One partial sum from the scalar closed form (see :func:`sum_closed`)."""
+    d = consts.d_corrected if corrected else consts.d_printed
+    if d == 0:
+        if corrected:
+            raise SingularSeriesError(
+                "partial-sum constant det(I - K^m) is zero for this m"
+            )
+        return None
+    bracket_weight = (p.a * p.b) ** (m // 2) if corrected else Fraction(1)
+    tail_sign = -1 if corrected else 1
+    top = m * n + m + r
+    zm = zeta(m)
+
+    def bracket(t: int, sign: int) -> Fraction:
+        weight = (-p.c) ** m * p.a ** (zm * zeta(t + 1)) * p.b ** (zm * zeta(t))
+        return xs[t] + sign * bracket_weight * weight * xs[t - m]
+
+    def outer(t: int) -> Fraction:
+        return (p.a * p.b) ** (t // 2) * p.a ** (zeta(t) + shift)
+
+    return (outer(r) * bracket(r, -1) - outer(top) * bracket(top, tail_sign)) / d
+
+
+def fraction_sum_closed(
+    p: Params, m: int, n: int, r: int, corrected: bool
+) -> tuple[Fraction, Fraction] | None:
+    consts = fraction_sum_constants(p, m)
+    u, v = TermTable(p, SequenceKind.U), TermTable(p, SequenceKind.V)
+    u_sum = fraction_closed_sum(p, u, -1, m, n, r, consts, corrected)
+    if u_sum is None:
+        return None
+    return u_sum, fraction_closed_sum(p, v, 0, m, n, r, consts, corrected)
 
 
 class TestIdentityId:
@@ -323,6 +390,38 @@ class TestPartialSums:
                 return type(exc), str(exc)
 
         assert outcome(sum_oracle) == outcome(matrix_series_oracle)
+
+    @given(
+        abc=st.tuples(grid_nonzero, grid_nonzero, grid_nonzero),
+        m=st.integers(1, 24),
+        n=st.integers(0, 24),
+        r=st.integers(0, 24),
+    )
+    @example(abc=(DEGENERATE.a, DEGENERATE.b, DEGENERATE.c), m=1, n=1, r=0)
+    @example(abc=(SINGULAR_SUM.a, SINGULAR_SUM.b, SINGULAR_SUM.c), m=1, n=2, r=0)
+    @example(abc=(PRINTED_ZERO.a, PRINTED_ZERO.b, PRINTED_ZERO.c), m=2, n=3, r=1)
+    @example(abc=(Fraction(1, 2), Fraction(3), Fraction(-2, 5)), m=24, n=24, r=3)
+    def test_int_sums_equal_the_fraction_sums(
+        self, abc: tuple[Fraction, Fraction, Fraction], m: int, n: int, r: int
+    ) -> None:
+        p = Params(*abc)
+        u, v = TermTable(p, SequenceKind.U), TermTable(p, SequenceKind.V)
+
+        def outcome(form, *args) -> object:
+            try:
+                return form(*args)
+            except SingularSeriesError as exc:
+                return type(exc), str(exc)
+
+        assert sum_direct(p, m, n, r) == (
+            fraction_direct_sum(p, u, -1, m, n, r),
+            fraction_direct_sum(p, v, 0, m, n, r),
+        )
+        assert sum_constants(p, m) == fraction_sum_constants(p, m)
+        for corrected in (True, False):
+            assert outcome(sum_closed, p, m, n, r, corrected) == outcome(
+                fraction_sum_closed, p, m, n, r, corrected
+            )
 
     @pytest.mark.parametrize("seq", ["u", "v"])
     def test_check_picks_from_the_pair_forms(self, seq: str) -> None:
