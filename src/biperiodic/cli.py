@@ -22,7 +22,7 @@ naive method) refuse any index beyond ``_NAIVE_INDEX_CAP`` (10^7) in absolute
 value with exit code 2, before any work is done.  ``verify`` refuses a
 ``--max-index`` above ``_VERIFY_INDEX_CAP`` (128) the same way: its work grows
 steeply with the index (``--suite all --samples 3`` at the default seed takes
-about 0.15 s at 64 and 0.55 s at 128 on 2 vCPUs).
+about 0.18 s at 64 and 0.45 s at 128 on 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ def _add_sequence_args(parser: argparse.ArgumentParser) -> None:
 def _resolve_sequence(args: argparse.Namespace) -> tuple[Params, SequenceKind]:
     explicit = (args.a, args.b, args.c)
     if args.seq:
-        if any(value is not None for value in explicit):
-            raise CliError("give either --seq or explicit --a/--b/--c, not both")
+        if any(value is not None for value in (*explicit, args.w0, args.w1)):
+            raise CliError("give either --seq or explicit --a/--b/--c/--w0/--w1, not both")
         try:
             named = lookup(args.seq)
         except UnknownSequenceError as exc:

@@ -20,14 +20,19 @@ stepping the recurrence |n| times.  The logarithmic-time routes in
 from the initial pair on every call, on ``Fraction`` values, in either
 direction, and is the anchor; :class:`TermTable` keeps the terms it has
 walked, so repeated lookups at one parameter point cost only the steps not
-yet taken, and :func:`term_range` is a slice of a fresh table.  A table walks
-only upward, on Python ints, scaled by the known denominator m d^k of index k
-(d = lcm of the denominators of a, b, c; m = lcm of those of the initial
-pair).  It builds one ``Fraction`` per index, the first time that index is
-read with ``table[k]``; ``table.pair(k)`` reads the same term as an
-unreduced pair of ints and builds none.  Negative indices are positive
-indices of the reflected point (see :func:`reflected`), read from a mirror
-table there.
+yet taken, and :func:`term_range` is a slice of a fresh table.
+
+A table and both fast routes walk on Python ints at one integer point.  With
+lam = den a and mu = lcm(den b, den c / gcd(den c, lam)), (A, B, C) = (lam a,
+mu b, lam mu c) are integers, and for every kind and k >= 1
+
+    x(k) = x'(k) / (lam^zeta(k+1) (lam mu)^floor((k-1)/2) m),
+
+where x' is the same kind at (A, B, C) from the initial pair (0, 1), (2, B)
+or (M w0, M mu w1), m is 1, mu or mu M for U, V and W, and M clears the
+denominators of w0 and mu w1; x(0) is x'(0) / M for W and x'(0) for U and
+V.  This scale, ``_scale`` at ``_integer_point``, is the denominator the
+terms actually carry, and each one divides the next.
 """
 
 from __future__ import annotations
@@ -185,6 +190,54 @@ def term_naive(
     return lower
 
 
+class _IntegerPoint:
+    """The integer point (a, b, c) = (lam a, mu b, lam mu c) of one kind.
+
+    (x0, x1) is the kind's integer initial pair there, m the constant part
+    of the scale at k >= 1 (1 for U, mu for V, mu*M for W), and m0 the scale
+    of index 0 (1 for U and V, M for W).  A plain slotted class, because a
+    dataclass adds about 3 ms to each import from source.
+    """
+
+    __slots__ = ("lam", "mu", "m", "m0", "a", "b", "c", "x0", "x1")
+
+    def __init__(
+        self, lam: int, mu: int, m: int, m0: int, a: int, b: int, c: int, x0: int, x1: int
+    ) -> None:
+        self.lam, self.mu, self.m, self.m0 = lam, mu, m, m0
+        self.a, self.b, self.c = a, b, c
+        self.x0, self.x1 = x0, x1
+
+
+def _integer_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
+    lam = p.a.denominator
+    mu = math.lcm(p.b.denominator, p.c.denominator // math.gcd(p.c.denominator, lam))
+    a = p.a.numerator
+    b = p.b.numerator * (mu // p.b.denominator)
+    c = p.c.numerator * (lam * mu // p.c.denominator)
+    if kind is SequenceKind.U:
+        return _IntegerPoint(lam, mu, 1, 1, a, b, c, 0, 1)
+    if kind is SequenceKind.V:
+        return _IntegerPoint(lam, mu, mu, 1, a, b, c, 2, b)
+    w1 = mu * p.w1
+    big_m = math.lcm(p.w0.denominator, w1.denominator)
+    x0 = p.w0.numerator * (big_m // p.w0.denominator)
+    x1 = w1.numerator * (big_m // w1.denominator)
+    return _IntegerPoint(lam, mu, mu * big_m, big_m, a, b, c, x0, x1)
+
+
+def _scale(pt: _IntegerPoint, k: int) -> int:
+    """The denominator x'(k) carries at index k >= 0, so x(k) = x'(k) / _scale(pt, k).
+
+    From odd to even k the scale gains a factor lam, from even to odd a
+    factor mu, and from 0 to 1 a factor m / m0.
+    """
+    if k == 0:
+        return pt.m0
+    half = (k - 1) // 2
+    return pt.lam ** ((k + 1) % 2 + half) * pt.mu**half * pt.m
+
+
 class TermTable:
     """Terms of one sequence at one parameter point, walked on demand.
 
@@ -194,36 +247,24 @@ class TermTable:
     the forward step, so every term is computed once per table however often
     it is read.
 
-    The walk runs upward on Python ints.  With d = lcm(den a, den b, den c)
-    and m = lcm(den x(0), den x(1)), the term is x(k) = N_k / (m d^k), where
+    The walk runs upward on Python ints at the integer point (A, B, C) of
+    the module docstring, from its initial pair:
 
-        N_k = (chi(k) d) N_{k-1} + (c d^2) N_{k-2}
+        x'(k) = chi'(k) x'(k-1) + C x'(k-2),   chi'(k) = A at even k, B at odd k,
 
     has integer coefficients, so no step reduces a fraction.  ``pair(k)``
-    returns (N_k, m d^k) and builds no ``Fraction``; ``table[k]`` builds the
-    one ``Fraction`` of an index k >= 0 the first time it is read and keeps
-    it.  Index -k is index k of a mirror table at the reflected point (see
-    :func:`reflected`), built on the first negative read; reflecting twice
-    gives back this point, so the mirror is only ever read at k >= 0.
+    returns (x'(k), scale(k)) and builds no ``Fraction``; ``table[k]`` builds
+    the one ``Fraction`` of an index k >= 0 the first time it is read and
+    keeps it.  Index -k is index k of a mirror table at the reflected point
+    (see :func:`reflected`), built on the first negative read; reflecting
+    twice gives back this point, so the mirror is only ever read at k >= 0.
     """
 
     def __init__(self, p: Params, kind: SequenceKind) -> None:
         self.params, self.kind = p, kind
-        t0, t1 = initial_pair(p, kind)
-        a, b, c = p.a, p.b, p.c
-        d = math.lcm(a.denominator, b.denominator, c.denominator)
-        m = math.lcm(t0.denominator, t1.denominator)
-        self._d, self._m = d, m
-        self._steps = (
-            a.numerator * (d // a.denominator),
-            b.numerator * (d // b.denominator),
-            c.numerator * (d // c.denominator) * d,
-        )
-        self._nums = {  # N_k for 0 <= k <= hi
-            0: t0.numerator * (m // t0.denominator),
-            1: t1.numerator * (m // t1.denominator) * d,
-        }
-        self._terms = {0: t0, 1: t1}  # built Fractions, at some 0 <= k <= hi
+        self._point = pt = _integer_point(p, kind)
+        self._nums = {0: pt.x0, 1: pt.x1}  # x'(k) for 0 <= k <= hi
+        self._terms: dict[int, Rational] = {}  # built Fractions, at some 0 <= k <= hi
         self._hi = 1
         self._mirror: TermTable | None = None
 
@@ -243,15 +284,15 @@ class TermTable:
         """The term at index k as the unreduced pair (N, den) of ints, den > 0.
 
         ``Fraction(N, den) == table[k]``.  At k >= 0 the pair is
-        (N_k, m d^k), so the denominator at an index k >= 0 divides the
+        (x'(k), scale(k)), so the denominator at an index k >= 0 divides the
         denominator at every higher index.  Index -k is read from the mirror
-        table, so its denominator is that table's m d^k.
+        table, so its denominator is that table's scale(k).
         """
         if k < 0:
             return self._reflection().pair(-k)
         if k > self._hi:
             self._extend_up(k)
-        return self._nums[k], self._m * self._d**k
+        return self._nums[k], _scale(self._point, k)
 
     def _reflection(self) -> TermTable:
         mirror = self._mirror
@@ -265,10 +306,11 @@ class TermTable:
         # bound is stored, so every index up to the bound always has its
         # value.  Two callers extending the same table at once therefore
         # only rewrite equal values.
-        (even, odd, cdd), nums, hi = self._steps, self._nums, self._hi
+        pt, nums, hi = self._point, self._nums, self._hi
+        even, odd, c = pt.a, pt.b, pt.c
         prev, cur = nums[hi - 1], nums[hi]
         for k in range(hi + 1, n + 1):
-            prev, cur = cur, (odd if k % 2 else even) * cur + cdd * prev
+            prev, cur = cur, (odd if k % 2 else even) * cur + c * prev
             nums[k] = cur
             self._hi = k
 

@@ -7,20 +7,14 @@ Two independent fast routes are provided next to the linear-time oracle:
 * ``doubling`` -- index doubling on the pair (u(n), u(n+1)), driven by the
   addition identities of the u-sequence.
 
-Both routes run on Python ints and build one Fraction per result.  Pick
-integers lam, mu such that lam*a, mu*b and lam*mu*c are integers.  Then for
-every kind and every n >= 1
-
-    x(n; a, b, c) = x'(n) / (lam^zeta(n+1) (lam mu)^floor((n-1)/2) m),
-
-where x' is the same kind at the integer point (A, B, C) = (lam a, mu b,
-lam mu c) with the initial pair (0, 1), (2, B) or (M w0, M mu w1), and m is
-1, mu or mu*M for U, V and W (M clears the denominators of w0 and mu w1).
-(lam mu)^floor((n-1)/2) is the denominator the terms actually carry, so the
-division is done once, at the end, on a numerator that shares few factors
-with it.  A negative index -n is index n of kind W at the reflected point
-(-a/c, -b/c, 1/c) of :func:`biperiodic.core.reflected`, so the routes only
-ever evaluate n >= 1, and a counter passed at -n counts that reflected walk.
+Both routes run on Python ints at the integer point of
+:mod:`biperiodic.core`, where the scaling of a rational point is stated
+once, and build one Fraction per result by dividing x'(n) by its scale.
+That scale is the denominator the terms actually carry, so the division is
+done once, at the end, on a numerator that shares few factors with it.  A
+negative index -n is index n of kind W at the reflected point (-a/c, -b/c,
+1/c) of :func:`biperiodic.core.reflected`, so the routes only ever evaluate
+n >= 1, and a counter passed at -n counts that reflected walk.
 
 Both must agree with the oracle exactly, on every input; the test suite
 enforces the three-way agreement.  The backward recurrence of
@@ -32,9 +26,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
 
 from .core import Params, SequenceKind, initial_pair, reflected, term_naive
+from .core import _integer_point, _IntegerPoint, _scale
 from .exact import OpCounter, Rational
 
 __all__ = [
@@ -53,41 +47,6 @@ class Method(Enum):
     DOUBLING = "doubling"
 
 
-class _IntegerPoint:
-    """The integer point (a, b, c) = (lam a, mu b, lam mu c) of one kind.
-
-    (x0, x1) is the kind's integer initial pair there, and m the constant
-    part of the scale: 1 for U, mu for V, mu*M for W.  A plain slotted class,
-    because a dataclass adds about 3 ms to each import from source.
-    """
-
-    __slots__ = ("lam", "mu", "m", "a", "b", "c", "x0", "x1")
-
-    def __init__(
-        self, lam: int, mu: int, m: int, a: int, b: int, c: int, x0: int, x1: int
-    ) -> None:
-        self.lam, self.mu, self.m = lam, mu, m
-        self.a, self.b, self.c = a, b, c
-        self.x0, self.x1 = x0, x1
-
-
-def _integer_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
-    lam = p.a.denominator
-    mu = lcm(p.b.denominator, p.c.denominator // gcd(p.c.denominator, lam))
-    a = p.a.numerator
-    b = p.b.numerator * (mu // p.b.denominator)
-    c = p.c.numerator * (lam * mu // p.c.denominator)
-    if kind is SequenceKind.U:
-        return _IntegerPoint(lam, mu, 1, a, b, c, 0, 1)
-    if kind is SequenceKind.V:
-        return _IntegerPoint(lam, mu, mu, a, b, c, 2, b)
-    w1 = mu * p.w1
-    big_m = lcm(p.w0.denominator, w1.denominator)
-    x0 = p.w0.numerator * (big_m // p.w0.denominator)
-    x1 = w1.numerator * (big_m // w1.denominator)
-    return _IntegerPoint(lam, mu, mu * big_m, a, b, c, x0, x1)
-
-
 def _exact_div(x: int, d: int) -> int:
     quotient, remainder = divmod(x, d)
     if remainder:
@@ -96,9 +55,8 @@ def _exact_div(x: int, d: int) -> int:
 
 
 def _fraction(pt: _IntegerPoint, n: int, numer: int) -> Rational:
-    """x(n) as one Fraction, given x'(n) = numer at the integer point, n >= 1."""
-    half = (n - 1) // 2
-    return Fraction(numer, pt.lam ** ((n + 1) % 2 + half) * pt.mu**half * pt.m)
+    """x(n) as one Fraction, given x'(n) = numer at the integer point, n >= 0."""
+    return Fraction(numer, _scale(pt, n))
 
 
 def _times_ratio(pt: _IntegerPoint, k: int, x: int, counter: OpCounter | None) -> int:
@@ -166,7 +124,7 @@ def uv_doubling(
         raise ValueError("doubling is defined for n >= 0")
     pt = _integer_point(p, SequenceKind.U)
     u_n, u_next = _u_pair(pt, n, counter)
-    return _fraction(pt, n, u_n) if n else Fraction(0), _fraction(pt, n + 1, u_next)
+    return _fraction(pt, n, u_n), _fraction(pt, n + 1, u_next)
 
 
 def term_doubling(

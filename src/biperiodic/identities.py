@@ -506,8 +506,8 @@ def _a_weights(p: Params) -> tuple[int, int, int]:
 def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> Rational:
     """One weighted partial sum by plain term-by-term addition.
 
-    The sum runs on ints over the denominator m d^T h^floor(T/2) alpha beta
-    of its last index T = mn + r, where m d^T is the table's (see
+    The sum runs on ints over the denominator s_T h^floor(T/2) alpha beta
+    of its last index T = mn + r, where s_T is the table's scale at T (see
     :meth:`~biperiodic.core.TermTable.pair`), and builds one ``Fraction``.
     """
     g, h = _tables(p).ab_ints

@@ -117,8 +117,25 @@ class TestTerm:
     def test_decimal_literal_exit_2(self) -> None:
         assert main(["term", "--a", "0.5", "--b", "1", "--c", "1", "-n", "1"]) == 2
 
-    def test_seq_and_explicit_params_conflict(self, capsys: pytest.CaptureFixture[str]) -> None:
-        assert main(["term", "--seq", "fibonacci", "--a", "2", "-n", "1"]) == 2
+    @pytest.mark.parametrize(
+        "command",
+        [["term", "-n", "3"], ["gen", "--from", "0", "--to", "3"], ["bench", "--n-list", "3"]],
+        ids=["term", "gen", "bench"],
+    )
+    @pytest.mark.parametrize(
+        "explicit",
+        [["--a", "2"], ["--w0", "5"], ["--w1", "7"], ["--w0", "5", "--w1", "7"]],
+        ids=["a", "w0", "w1", "w0-w1"],
+    )
+    def test_seq_and_explicit_params_conflict(
+        self, command: list[str], explicit: list[str], capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        assert main([*command, "--seq", "fibonacci", *explicit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            "error: give either --seq or explicit --a/--b/--c/--w0/--w1, not both"
+        )
 
     def test_no_sequence_at_all(self) -> None:
         assert main(["term", "-n", "1"]) == 2

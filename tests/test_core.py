@@ -15,6 +15,8 @@ from biperiodic.core import (
     Params,
     SequenceKind,
     TermTable,
+    _integer_point,
+    _scale,
     chi,
     discriminant,
     initial_pair,
@@ -272,10 +274,13 @@ class TestTermTable:
     def test_pairs_are_the_terms(self, p: Params, order: list[int]) -> None:
         for kind in SequenceKind:
             table = TermTable(p, kind)
+            # the fast routes divide by the same scale, at the same point
+            point, mirror = _integer_point(p, kind), _integer_point(reflected(p, kind), W)
             pairs = {}
             for k in order:
                 num, den = pairs[k] = table.pair(k)
                 assert den > 0 and Fraction(num, den) == table[k] == term_naive(p, kind, k)
+                assert den == (_scale(point, k) if k >= 0 else _scale(mirror, -k))
             # the sums of identities rely on this: upward denominators divide upward
             for k in range(64):
                 assert pairs[k + 1][1] % pairs[k][1] == 0
