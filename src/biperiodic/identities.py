@@ -55,11 +55,18 @@ matrix.
 A SUM check sums only its own sequence: one direct sum, one
 :func:`sum_constants`, and one corrected and one printed closed form.  The
 pair-returning :func:`sum_direct` and :func:`sum_closed` run the same
-per-sequence helpers for u and for v.  These sides run on Python ints and
-build one ``Fraction`` per value: they read terms as unreduced pairs
-(:meth:`~biperiodic.core.TermTable.pair`), the direct sum adds over the
-denominator of its last term, and the two closed forms share the four
-products of a monomial and a term that they are made of.
+per-sequence helpers for u and for v.  The terms that the sums add,
+y(t) = (ab)^floor(t/2) a^(zeta(t)-1) u(t) and (ab)^floor(t/2) a^zeta(t) v(t),
+are 2K^t[2,1] and 2K^t[1,1] at every integer t.  With
+adj(I - K^m) = I - det(K)^m K^-m and det K = -abc, the series
+(I - K^m)^-1 (K^r - K^top), top = m(n+1) + r, gives the corrected closed form
+
+    (y(r) - kappa y(r-m) - y(top) + kappa y(top-m)) / det(I - K^m),  kappa = (-abc)^m.
+
+These sides run on Python ints and build one ``Fraction`` per value: one
+helper adds coef y(t) over ascending t >= 0 from the table's unreduced pairs
+(:meth:`~biperiodic.core.TermTable.pair`), and y(r-m) at r < m is read from
+the mirror table.
 """
 
 from __future__ import annotations
@@ -489,12 +496,10 @@ def sum_oracle(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
     return Fraction(2 * y * scale, den), Fraction(2 * x, den)
 
 
-# The u-sum weighs u(t) by a^(zeta(t)-1) and the v-sum v(t) by a^zeta(t): each
-# sequence is a table plus that shift of the exponent of a.  Both sides below
-# run on ints: with ab = g/h and a = alpha/beta, the weight
-# (ab)^floor(t/2) a^(zeta(t)+shift) of term t is g^floor(t/2) A over
-# h^floor(t/2) alpha beta, where A = beta^2, alpha beta or alpha^2 for the
-# exponents -1, 0 and 1 of a.
+# y(t) of the u-sum and of the v-sum differ only in their table and in a
+# shift, -1 and 0, of the exponent of a.  With ab = g/h and a = alpha/beta, the
+# weight of term t >= 0 is g^floor(t/2) A over h^floor(t/2) alpha beta, where
+# A = beta^2, alpha beta or alpha^2 for the exponents -1, 0 and 1 of a.
 
 
 def _a_weights(p: Params) -> tuple[int, int, int]:
@@ -503,81 +508,56 @@ def _a_weights(p: Params) -> tuple[int, int, int]:
     return beta * beta, alpha * beta, alpha * alpha
 
 
-def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> Rational:
-    """One weighted partial sum by plain term-by-term addition.
+def _y_sum(p: Params, xs: TermTable, shift: int, terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of coef y(t) over (t, coef) in ascending t >= 0, as (num, den).
 
-    The sum runs on ints over the denominator s_T h^floor(T/2) alpha beta
-    of its last index T = mn + r, where s_T is the table's scale at T (see
-    :meth:`~biperiodic.core.TermTable.pair`), and builds one ``Fraction``.
+    The sum runs on ints over the denominator s_T h^floor(T/2) alpha beta of
+    its last index T, where s_T is the table's scale at T (see
+    :meth:`~biperiodic.core.TermTable.pair`), which every earlier scale
+    divides.  The pair is not reduced.
     """
     g, h = _tables(p).ab_ints
     weights = _a_weights(p)
     # num is the sum so far over den h^half alpha beta, den the table's at t
     num, den, half, g_half = 0, 1, 0, 1
-    for t in range(r, m * n + r + 1, m):
+    for t, coef in terms:
         x, x_den = xs.pair(t)
         step = t // 2 - half
         half += step
         g_half *= g**step
-        num = num * h**step * (x_den // den) + g_half * weights[zeta(t) + shift + 1] * x
+        num = num * h**step * (x_den // den) + g_half * (coef * weights[zeta(t) + shift + 1]) * x
         den = x_den
-    return Fraction(num, den * h**half * weights[1])
+    return num, den * h**half * weights[1]
 
 
-class _ClosedTerms(NamedTuple):
-    """The four monomial-term products of the closed form, over one denominator.
+def _y_below_zero(p: Params, xs: TermTable, shift: int, t: int) -> tuple[int, int]:
+    """y(t) at an index t < 0, read from the mirror table, as (num, den).
 
-    With outer(t) = (ab)^floor(t/2) a^(zeta(t)+shift) and the bracket
-    weight wt(t) = (-c)^m a^(zeta(m) zeta(t+1)) b^(zeta(m) zeta(t)), they
-    are outer(r) x_r, outer(r) wt(r) x_(r-m), outer(top) x_top and
-    outer(top) wt(top) x_(top-m), with top = m(n+1) + r.
+    (ab)^floor(t/2) has a negative exponent there: g and h trade places.
     """
-
-    lead: int
-    lead_back: int
-    top: int
-    top_back: int
-    den: int
-
-
-def _bracket_terms(p: Params, xs: TermTable, shift: int, m: int, t: int) -> tuple[int, int, int]:
-    """outer(t) x_t and outer(t) wt(t) x_(t-m) as two numerators over one denominator."""
-    x, x_den = xs.pair(t)
-    back, back_den = xs.pair(t - m)
-    if t >= m:  # both are upward reads, so back_den divides x_den
-        back *= x_den // back_den
-    else:  # x_(t-m) is read from the mirror table
-        x, back, x_den = x * back_den, back * x_den, x_den * back_den
-    alpha, beta = _ints(p.a)
-    b_num, b_den = _ints(p.b)
-    gamma, delta = _ints(p.c)
-    e_a, e_b = zeta(m) * zeta(t + 1), zeta(m) * zeta(t)
-    wt = (-gamma) ** m * alpha**e_a * b_num**e_b
-    wt_den = delta**m * beta**e_a * b_den**e_b
     g, h = _tables(p).ab_ints
     weights = _a_weights(p)
-    outer, outer_den = g ** (t // 2) * weights[zeta(t) + shift + 1], h ** (t // 2) * weights[1]
-    return outer * x * wt_den, outer * wt * back, outer_den * wt_den * x_den
+    x, x_den = xs.pair(t)
+    k = -(t // 2)
+    return h**k * weights[zeta(t) + shift + 1] * x, g**k * weights[1] * x_den
 
 
-def _closed_terms(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> _ClosedTerms:
-    """The products that the corrected and the printed closed form share."""
-    lead, lead_back, lead_den = _bracket_terms(p, xs, shift, m, r)
-    top, top_back, top_den = _bracket_terms(p, xs, shift, m, m * n + m + r)
-    return _ClosedTerms(
-        lead * top_den, lead_back * top_den, top * lead_den, top_back * lead_den, lead_den * top_den
-    )
+def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> Rational:
+    """One weighted partial sum, y(r) + y(m + r) + ... + y(mn + r), as a ``Fraction``."""
+    return Fraction(*_y_sum(p, xs, shift, [(t, 1) for t in range(r, m * n + r + 1, m)]))
 
 
 def _closed_sum(
-    p: Params, terms: _ClosedTerms, m: int, consts: SumConstants, corrected: bool
+    p: Params,
+    xs: TermTable,
+    shift: int,
+    m: int,
+    n: int,
+    r: int,
+    consts: SumConstants,
+    corrected: bool,
 ) -> Rational | None:
-    """One partial sum from the scalar closed form (see :func:`sum_closed`).
-
-    (outer(r) bracket(r, -1) - outer(top) bracket(top, tail_sign)) / d, where
-    bracket(t, sign) = x_t + sign bracket_weight wt(t) x_(t-m), is summed
-    from ``terms`` and built as one ``Fraction``.
-    """
+    """One partial sum from a scalar closed form (see :func:`sum_closed`)."""
     d = consts.d_corrected if corrected else consts.d_printed
     if d == 0:
         if corrected:
@@ -585,16 +565,20 @@ def _closed_sum(
                 "partial-sum constant det(I - K^m) is zero for this m"
             )
         return None
-    if corrected:
-        g, h = _tables(p).ab_ints
-        weight, weight_den = g ** (m // 2), h ** (m // 2)
-    else:
-        weight, weight_den = 1, 1
-    tail_sign = -1 if corrected else 1
-    num = (terms.lead - terms.top) * weight_den - weight * (
-        terms.lead_back + tail_sign * terms.top_back
-    )
-    return Fraction(num * d.denominator, terms.den * weight_den * d.numerator)
+    g, h = _tables(p).ab_ints
+    gamma, delta = _ints(p.c)
+    e = m if corrected else (m + 1) // 2  # the printed form divides by (ab)^floor(m/2)
+    kappa, kappa_den = g**e * (-gamma) ** m, h**e * delta**m
+    top = m * n + m + r
+    # every coefficient is over kappa_den
+    terms = [(r, kappa_den), (top - m, kappa if corrected else -kappa), (top, -kappa_den)]
+    if r >= m:
+        terms.insert(0, (r - m, -kappa))
+    num, den = _y_sum(p, xs, shift, terms)
+    if r < m:
+        back, back_den = _y_below_zero(p, xs, shift, r - m)
+        num, den = num * back_den - kappa * back * den, den * back_den
+    return Fraction(num * d.denominator, den * kappa_den * d.numerator)
 
 
 def sum_direct(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
@@ -614,21 +598,21 @@ def sum_closed(
 ) -> tuple[Rational, Rational] | None:
     """Both partial sums from the scalar closed form.
 
-    With ``corrected=True`` the determinant-derived constant and the
-    (ab)^floor(m/2)-weighted brackets are used; this is the form that equals
-    the true sums (a zero constant raises :class:`SingularSeriesError`).
-    With ``corrected=False`` the simplified variant is evaluated verbatim:
-    no bracket weight and a flipped sign on the closing bracket.  Its
-    constant can vanish; that case returns None instead of dividing by zero.
-    Each sum is evaluated on ints and built as one ``Fraction``.
+    With ``corrected=True`` this is the adjugate form of the module
+    docstring, which equals the true sums (a zero det(I - K^m) raises
+    :class:`SingularSeriesError`).  With ``corrected=False`` the simplified
+    variant is evaluated verbatim: it drops the bracket weight (ab)^floor(m/2),
+    so kappa becomes (-abc)^m / (ab)^floor(m/2), it subtracts kappa y(top-m)
+    instead of adding it, and it divides by ``d_printed``, which can vanish;
+    that case returns None.
     """
     _validate_sum_indices(m, n, r)
     consts = sum_constants(p, m)
     pt = _tables(p)
-    u_sum = _closed_sum(p, _closed_terms(p, pt.u, -1, m, n, r), m, consts, corrected)
+    u_sum = _closed_sum(p, pt.u, -1, m, n, r, consts, corrected)
     if u_sum is None:
         return None
-    return u_sum, _closed_sum(p, _closed_terms(p, pt.v, 0, m, n, r), m, consts, corrected)
+    return u_sum, _closed_sum(p, pt.v, 0, m, n, r, consts, corrected)
 
 
 def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
@@ -637,8 +621,8 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     ``passed`` requires the direct sum, the matrix-series oracle, and the
     corrected closed form to agree exactly.  The simplified-constant value
     rides along in ``printed_form_value`` and is compared informally.
-    Only the sequence ``seq`` is summed, and the constants and the products
-    that both closed forms are made of are computed once.
+    Only the sequence ``seq`` is summed, and the constants are computed once
+    for both closed forms.
     """
     if seq not in ("u", "v"):
         raise ValueError(f"seq must be 'u' or 'v', not {seq!r}")
@@ -648,9 +632,8 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     xs, shift = (pt.u, -1) if seq == "u" else (pt.v, 0)
     direct = _direct_sum(p, xs, shift, m, n, r)
     consts = sum_constants(p, m)
-    terms = _closed_terms(p, xs, shift, m, n, r)
-    closed_value = _closed_sum(p, terms, m, consts, corrected=True)
-    printed_value = _closed_sum(p, terms, m, consts, corrected=False)
+    closed_value = _closed_sum(p, xs, shift, m, n, r, consts, corrected=True)
+    printed_value = _closed_sum(p, xs, shift, m, n, r, consts, corrected=False)
     matches = None if printed_value is None else printed_value == direct
     return IdentityReport(
         IdentityId(Family.SUM, seq),

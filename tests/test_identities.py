@@ -31,6 +31,8 @@ from biperiodic.identities import (
     _k_algebra,
     _pair_pow,
     _validate_sum_indices,
+    _y_below_zero,
+    _y_sum,
     check_addition,
     check_binomial,
     check_cassini,
@@ -401,6 +403,9 @@ class TestPartialSums:
     @example(abc=(SINGULAR_SUM.a, SINGULAR_SUM.b, SINGULAR_SUM.c), m=1, n=2, r=0)
     @example(abc=(PRINTED_ZERO.a, PRINTED_ZERO.b, PRINTED_ZERO.c), m=2, n=3, r=1)
     @example(abc=(Fraction(1, 2), Fraction(3), Fraction(-2, 5)), m=24, n=24, r=3)
+    # n = 0 and r = 0: a read at t = 0, top - m = r, and r - m < 0 in one case
+    @example(abc=(Fraction(1, 2), Fraction(3), Fraction(-2, 5)), m=5, n=0, r=0)
+    @example(abc=(P_STAR.a, P_STAR.b, P_STAR.c), m=1, n=0, r=0)
     def test_int_sums_equal_the_fraction_sums(
         self, abc: tuple[Fraction, Fraction, Fraction], m: int, n: int, r: int
     ) -> None:
@@ -422,6 +427,21 @@ class TestPartialSums:
             assert outcome(sum_closed, p, m, n, r, corrected) == outcome(
                 fraction_sum_closed, p, m, n, r, corrected
             )
+
+    @given(abc=st.tuples(grid_nonzero, grid_nonzero, grid_nonzero))
+    @example(abc=(DEGENERATE.a, DEGENERATE.b, DEGENERATE.c))
+    def test_weighted_terms_are_entries_of_the_powers_of_k(
+        self, abc: tuple[Fraction, Fraction, Fraction]
+    ) -> None:
+        # y(t), the term the sums add at t, is 2K^t[2,1] for u and 2K^t[1,1] for v;
+        # at t < 0 it is read from the mirror table
+        p = Params(*abc)
+        k = build(MatrixTag.K, p)
+        for kind, shift, entry in ((SequenceKind.U, -1, "m21"), (SequenceKind.V, 0, "m11")):
+            xs = TermTable(p, kind)
+            for t in range(-8, 25):
+                y = _y_below_zero(p, xs, shift, t) if t < 0 else _y_sum(p, xs, shift, [(t, 1)])
+                assert Fraction(*y) == 2 * getattr(mat_pow(k, t), entry), (kind, t)
 
     @pytest.mark.parametrize("seq", ["u", "v"])
     def test_check_picks_from_the_pair_forms(self, seq: str) -> None:
