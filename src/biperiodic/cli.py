@@ -22,7 +22,7 @@ naive method) refuse any index beyond ``_NAIVE_INDEX_CAP`` (10^7) in absolute
 value with exit code 2, before any work is done.  ``verify`` refuses a
 ``--max-index`` above ``_VERIFY_INDEX_CAP`` (128) the same way: its work grows
 steeply with the index (``--suite all --samples 3`` at the default seed takes
-about 0.18 s at 64 and 0.45 s at 128 on 2 vCPUs).
+about 0.17 s at 64 and 0.50 s at 128 on 2 vCPUs).
 """
 
 from __future__ import annotations

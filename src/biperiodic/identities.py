@@ -55,18 +55,21 @@ matrix.
 A SUM check sums only its own sequence: one direct sum, one
 :func:`sum_constants`, and one corrected and one printed closed form.  The
 pair-returning :func:`sum_direct` and :func:`sum_closed` run the same
-per-sequence helpers for u and for v.  The terms that the sums add,
-y(t) = (ab)^floor(t/2) a^(zeta(t)-1) u(t) and (ab)^floor(t/2) a^zeta(t) v(t),
-are 2K^t[2,1] and 2K^t[1,1] at every integer t.  With
-adj(I - K^m) = I - det(K)^m K^-m and det K = -abc, the series
-(I - K^m)^-1 (K^r - K^top), top = m(n+1) + r, gives the corrected closed form
+per-sequence helpers for u and for v.  SUM and BINOM read one weighted term,
+y(t) = (ab)^floor(t/2) a^(zeta(t)+s) x(t) with s = -1 for u and 0 for v: it
+is 2K^t[2,1] for u and 2K^t[1,1] for v, and tr K = ab, det K = -abc.  Two
+facts about 2x2 matrices give both families.  By Cayley-Hamilton,
+K^m = y_u(m) K + abc y_u(m-1) I, whose n-th power times K^r is BINOM:
+y(mn+r) = sum_i C(n,i) y_u(m)^i (abc y_u(m-1))^(n-i) y(i+r).  The adjugate
+is adj(X) = tr(X) I - X, so adj(I - K^m) = (1 - tr(K^m)) I + K^m, with
+tr(K^m) = y_v(m), and the series (I - K^m)^-1 (K^r - K^top), top = m(n+1) + r,
+is the corrected closed form
 
-    (y(r) - kappa y(r-m) - y(top) + kappa y(top-m)) / det(I - K^m),  kappa = (-abc)^m.
+    ((1 - tr(K^m)) (y(r) - y(top)) + y(r+m) - y(top+m)) / det(I - K^m),
 
-These sides run on Python ints and build one ``Fraction`` per value: one
-helper adds coef y(t) over ascending t >= 0 from the table's unreduced pairs
-(:meth:`~biperiodic.core.TermTable.pair`), and y(r-m) at r < m is read from
-the mirror table.
+which reads y at t >= 0 only.  These sides run on Python ints and build one
+``Fraction`` per value: one helper adds coef y(t) over ascending t >= 0 from
+the table's unreduced pairs (:meth:`~biperiodic.core.TermTable.pair`).
 """
 
 from __future__ import annotations
@@ -77,6 +80,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from typing import NamedTuple
 
 from .core import (
@@ -499,13 +504,8 @@ def sum_oracle(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
 # y(t) of the u-sum and of the v-sum differ only in their table and in a
 # shift, -1 and 0, of the exponent of a.  With ab = g/h and a = alpha/beta, the
 # weight of term t >= 0 is g^floor(t/2) A over h^floor(t/2) alpha beta, where
-# A = beta^2, alpha beta or alpha^2 for the exponents -1, 0 and 1 of a.
-
-
-def _a_weights(p: Params) -> tuple[int, int, int]:
-    """a^e times alpha*beta for e = -1, 0, 1, indexed by e + 1."""
-    alpha, beta = _ints(p.a)
-    return beta * beta, alpha * beta, alpha * alpha
+# A = weights[e + 1] = beta^2, alpha beta or alpha^2 for the exponents e = -1,
+# 0 and 1 of a.
 
 
 def _y_sum(p: Params, xs: TermTable, shift: int, terms: list[tuple[int, int]]) -> tuple[int, int]:
@@ -517,7 +517,8 @@ def _y_sum(p: Params, xs: TermTable, shift: int, terms: list[tuple[int, int]]) -
     divides.  The pair is not reduced.
     """
     g, h = _tables(p).ab_ints
-    weights = _a_weights(p)
+    alpha, beta = _ints(p.a)
+    weights = beta * beta, alpha * beta, alpha * alpha
     # num is the sum so far over den h^half alpha beta, den the table's at t
     num, den, half, g_half = 0, 1, 0, 1
     for t, coef in terms:
@@ -530,55 +531,42 @@ def _y_sum(p: Params, xs: TermTable, shift: int, terms: list[tuple[int, int]]) -
     return num, den * h**half * weights[1]
 
 
-def _y_below_zero(p: Params, xs: TermTable, shift: int, t: int) -> tuple[int, int]:
-    """y(t) at an index t < 0, read from the mirror table, as (num, den).
-
-    (ab)^floor(t/2) has a negative exponent there: g and h trade places.
-    """
-    g, h = _tables(p).ab_ints
-    weights = _a_weights(p)
-    x, x_den = xs.pair(t)
-    k = -(t // 2)
-    return h**k * weights[zeta(t) + shift + 1] * x, g**k * weights[1] * x_den
-
-
 def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> Rational:
     """One weighted partial sum, y(r) + y(m + r) + ... + y(mn + r), as a ``Fraction``."""
     return Fraction(*_y_sum(p, xs, shift, [(t, 1) for t in range(r, m * n + r + 1, m)]))
 
 
-def _closed_sum(
-    p: Params,
-    xs: TermTable,
-    shift: int,
-    m: int,
-    n: int,
-    r: int,
-    consts: SumConstants,
-    corrected: bool,
-) -> Rational | None:
-    """One partial sum from a scalar closed form (see :func:`sum_closed`)."""
-    d = consts.d_corrected if corrected else consts.d_printed
-    if d == 0:
-        if corrected:
-            raise SingularSeriesError(
-                "partial-sum constant det(I - K^m) is zero for this m"
-            )
-        return None
-    g, h = _tables(p).ab_ints
-    gamma, delta = _ints(p.c)
-    e = m if corrected else (m + 1) // 2  # the printed form divides by (ab)^floor(m/2)
-    kappa, kappa_den = g**e * (-gamma) ** m, h**e * delta**m
+def _divided(num: int, den: int, d: Rational) -> Rational | None:
+    """num / (den d) as one ``Fraction``, or None where d is zero."""
+    return None if d == 0 else Fraction(num * d.denominator, den * d.numerator)
+
+
+def _closed_sums(
+    p: Params, xs: TermTable, shift: int, m: int, n: int, r: int, consts: SumConstants
+) -> tuple[Rational | None, Rational | None]:
+    """The corrected and the printed closed form of one partial sum.
+
+    Both read y(r), y(r+m), y(top), y(top+m) and tr(K^m) once (see
+    :func:`sum_closed`); a form whose constant is zero is None.
+    """
     top = m * n + m + r
-    # every coefficient is over kappa_den
-    terms = [(r, kappa_den), (top - m, kappa if corrected else -kappa), (top, -kappa_den)]
-    if r >= m:
-        terms.insert(0, (r - m, -kappa))
-    num, den = _y_sum(p, xs, shift, terms)
-    if r < m:
-        back, back_den = _y_below_zero(p, xs, shift, r - m)
-        num, den = num * back_den - kappa * back * den, den * back_den
-    return Fraction(num * d.denominator, den * kappa_den * d.numerator)
+    reads = [_y_sum(p, xs, shift, [(t, 1)]) for t in (r, r + m, top, top + m)]
+    den = reads[-1][1]  # every earlier read's denominator divides it
+    y_r, y_rm, y_top, y_top_m = (num * (den // t_den) for num, t_den in reads)
+    tr, tr_den = _y_sum(p, _tables(p).v, 0, [(m, 1)])  # tr(K^m) = y_v(m)
+    # (1 - tr) (y(r) - y(top)) + y(r+m) - y(top+m), over den tr_den
+    corrected = (tr_den - tr) * (y_r - y_top) + tr_den * (y_rm - y_top_m)
+    # w = (ab)^floor(m/2) times the printed numerator is
+    # (w - tr) y(r) + y(r+m) - (w + tr) y(top) + y(top+m); over den h_k tr_den,
+    # w, tr and 1 are w_n, tr_n and one_n, and dividing by w leaves den w_n
+    g, h = _tables(p).ab_ints
+    g_k, h_k = g ** (m // 2), h ** (m // 2)
+    w_n, tr_n, one_n = g_k * tr_den, h_k * tr, h_k * tr_den
+    printed = (w_n - tr_n) * y_r + one_n * (y_rm + y_top_m) - (w_n + tr_n) * y_top
+    return (
+        _divided(corrected, den * tr_den, consts.d_corrected),
+        _divided(printed, den * w_n, consts.d_printed),
+    )
 
 
 def sum_direct(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
@@ -600,19 +588,24 @@ def sum_closed(
 
     With ``corrected=True`` this is the adjugate form of the module
     docstring, which equals the true sums (a zero det(I - K^m) raises
-    :class:`SingularSeriesError`).  With ``corrected=False`` the simplified
-    variant is evaluated verbatim: it drops the bracket weight (ab)^floor(m/2),
-    so kappa becomes (-abc)^m / (ab)^floor(m/2), it subtracts kappa y(top-m)
-    instead of adding it, and it divides by ``d_printed``, which can vanish;
-    that case returns None.
+    :class:`SingularSeriesError`).  With ``corrected=False`` it is the
+    simplified variant (y(r) - k y(r-m) - y(top) - k y(top-m)) / d_printed,
+    k = kappa / w, kappa = (-abc)^m and w = (ab)^floor(m/2); a zero
+    ``d_printed`` returns None.  Its value is reached at indices t >= 0:
+    adj(K^m) = kappa K^-m gives kappa y(t-m) = tr(K^m) y(t) - y(t+m), so w
+    times its numerator is
+    (w - tr(K^m)) y(r) + y(r+m) - (w + tr(K^m)) y(top) + y(top+m).
     """
     _validate_sum_indices(m, n, r)
     consts = sum_constants(p, m)
     pt = _tables(p)
-    u_sum = _closed_sum(p, pt.u, -1, m, n, r, consts, corrected)
+    pick = 0 if corrected else 1
+    u_sum = _closed_sums(p, pt.u, -1, m, n, r, consts)[pick]
     if u_sum is None:
+        if corrected:
+            raise SingularSeriesError("partial-sum constant det(I - K^m) is zero for this m")
         return None
-    return u_sum, _closed_sum(p, pt.v, 0, m, n, r, consts, corrected)
+    return u_sum, _closed_sums(p, pt.v, 0, m, n, r, consts)[pick]
 
 
 def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
@@ -621,8 +614,8 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     ``passed`` requires the direct sum, the matrix-series oracle, and the
     corrected closed form to agree exactly.  The simplified-constant value
     rides along in ``printed_form_value`` and is compared informally.
-    Only the sequence ``seq`` is summed, and the constants are computed once
-    for both closed forms.
+    Only the sequence ``seq`` is summed, and the constants and the terms
+    the closed forms read are computed once for both.
     """
     if seq not in ("u", "v"):
         raise ValueError(f"seq must be 'u' or 'v', not {seq!r}")
@@ -631,9 +624,8 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     pt = _tables(p)
     xs, shift = (pt.u, -1) if seq == "u" else (pt.v, 0)
     direct = _direct_sum(p, xs, shift, m, n, r)
-    consts = sum_constants(p, m)
-    closed_value = _closed_sum(p, xs, shift, m, n, r, consts, corrected=True)
-    printed_value = _closed_sum(p, xs, shift, m, n, r, consts, corrected=False)
+    # the oracle has raised SingularSeriesError where det(I - K^m) is zero
+    closed_value, printed_value = _closed_sums(p, xs, shift, m, n, r, sum_constants(p, m))
     matches = None if printed_value is None else printed_value == direct
     return IdentityReport(
         IdentityId(Family.SUM, seq),
@@ -651,7 +643,10 @@ def delta_weight(p: Params, m: int, n: int, r: int, i: int) -> Rational:
     """The parity bookkeeping weight of one binomial summand.
 
     (ab)^(floor((i+r)/2) + n*floor(m/2)) * a^(-zeta(m+1)*i - 1 + zeta(i+r))
-    * b^(zeta(m)*(n-i)), defined for m >= 2 and 0 <= i <= n.
+    * b^(zeta(m)*(n-i)), defined for m >= 2 and 0 <= i <= n.  It is the
+    reference for :func:`check_binomial`: with t = mn+r, the sum over i of
+    comb(n, i) c^(n-i) u(m)^i u(m-1)^(n-i) x(i+r) times this weight is
+    x(t) (ab)^floor(t/2) a^(zeta(t)-1).
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -666,8 +661,10 @@ def delta_weight(p: Params, m: int, n: int, r: int, i: int) -> Rational:
 def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
     """Binomial expansion of the term at index mn+r (family BINOM).
 
-    The right side is a weighted binomial sum in powers of u(m) and u(m-1),
-    each summand carrying :func:`delta_weight`; m >= 2, n >= 0, r >= 0.
+    The right side is the Cayley-Hamilton expansion of y(mn+r) in the module
+    docstring, one :func:`_y_sum` with integer coefficients, over the weight
+    of y at mn+r.  :func:`delta_weight` is the per-summand reference for it;
+    m >= 2, n >= 0, r >= 0.
     """
     if seq not in ("u", "v"):
         raise ValueError(f"seq must be 'u' or 'v', not {seq!r}")
@@ -675,19 +672,18 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
         raise ValueError("binomial expansion needs m >= 2, n >= 0, r >= 0")
     target = m * n + r
     pt = _tables(p)
-    u = pt.u
-    xs = u if seq == "u" else pt.v
-    # Summand i times the prefactor is comb(n, i) xs[i+r] y_m^(n-i) factor_i, where factor_i
-    # holds x_m^i, the parity weight (ab)^floor(j/2) a^zeta(j) at j = i+r and the constants.
-    x_m = u[m] * p.a ** -zeta(m + 1)
-    y_m = p.c * u[m - 1] * p.b ** zeta(m)
-    e_ab = r // 2 + n * (m // 2) - target // 2
-    factor = (p.a * p.b) ** e_ab * p.a ** (zeta(r) - zeta(target))
-    total = Fraction(0)
-    for i in range(n + 1):
-        total = total * y_m + math.comb(n, i) * xs[i + r] * factor
-        factor *= x_m * (p.b if zeta(i + r) else p.a)
-    return _report(Family.BINOM, seq, p, {"m": m, "n": n, "r": r}, xs[target], total)
+    xs, shift = (pt.u, -1) if seq == "u" else (pt.v, 0)
+    # the coefficients of K^m = y_u(m) K + abc y_u(m-1) I, over one denominator d
+    head = Fraction(*_y_sum(p, pt.u, -1, [(m, 1)]))
+    tail = p.a * p.b * p.c * Fraction(*_y_sum(p, pt.u, -1, [(m - 1, 1)]))
+    d = math.lcm(head.denominator, tail.denominator)
+    heads = accumulate(repeat(head.numerator * (d // head.denominator), n), mul, initial=1)
+    tails = list(accumulate(repeat(tail.numerator * (d // tail.denominator), n), mul, initial=1))
+    terms = [(i + r, math.comb(n, i) * head_i * tails[n - i]) for i, head_i in enumerate(heads)]
+    num, den = _y_sum(p, xs, shift, terms)
+    weight = (p.a * p.b) ** (target // 2) * p.a ** (zeta(target) + shift)
+    rhs = Fraction(num, den * d**n) / weight
+    return _report(Family.BINOM, seq, p, {"m": m, "n": n, "r": r}, xs[target], rhs)
 
 
 _GRID_BOUND = 5  # parameter draws: numerators in [-5, 5], denominators in [1, 5]

@@ -30,8 +30,8 @@ from biperiodic.identities import (
     SuiteConfig,
     _k_algebra,
     _pair_pow,
+    _tables,
     _validate_sum_indices,
-    _y_below_zero,
     _y_sum,
     check_addition,
     check_binomial,
@@ -332,10 +332,14 @@ class TestPartialSums:
         assert printed is not None and printed[0] == Fraction(-1, 11)
 
     def test_report_carries_printed_comparison(self) -> None:
+        _tables.cache_clear()
         r = check_partial_sum(P_STAR, 2, 1, 0, seq="u")
         assert r.passed
         assert r.printed_form_value == Fraction(323, 6)
         assert r.printed_form_matches is False
+        assert check_partial_sum(P_STAR, 2, 1, 0, seq="v").passed
+        # at r < m no closed form reads an index below 0, so no mirror table is built
+        assert _tables(P_STAR).u._mirror is None and _tables(P_STAR).v._mirror is None
 
     def test_report_v_sum(self) -> None:
         r = check_partial_sum(P_STAR, 1, 1, 0, seq="v")
@@ -433,14 +437,13 @@ class TestPartialSums:
     def test_weighted_terms_are_entries_of_the_powers_of_k(
         self, abc: tuple[Fraction, Fraction, Fraction]
     ) -> None:
-        # y(t), the term the sums add at t, is 2K^t[2,1] for u and 2K^t[1,1] for v;
-        # at t < 0 it is read from the mirror table
+        # y(t), the term the sums add at t, is 2K^t[2,1] for u and 2K^t[1,1] for v
         p = Params(*abc)
         k = build(MatrixTag.K, p)
         for kind, shift, entry in ((SequenceKind.U, -1, "m21"), (SequenceKind.V, 0, "m11")):
             xs = TermTable(p, kind)
-            for t in range(-8, 25):
-                y = _y_below_zero(p, xs, shift, t) if t < 0 else _y_sum(p, xs, shift, [(t, 1)])
+            for t in range(25):
+                y = _y_sum(p, xs, shift, [(t, 1)])
                 assert Fraction(*y) == 2 * getattr(mat_pow(k, t), entry), (kind, t)
 
     @pytest.mark.parametrize("seq", ["u", "v"])
@@ -517,6 +520,11 @@ class TestBinomialTransform:
         r=st.integers(0, 5),
         seq=st.sampled_from(["u", "v"]),
     )
+    @example(abc=(DEGENERATE.a, DEGENERATE.b, DEGENERATE.c), m=3, n=4, r=2, seq="u")
+    @example(abc=(DEGENERATE.a, DEGENERATE.b, DEGENERATE.c), m=2, n=5, r=1, seq="v")
+    @example(abc=(Fraction(1, 2), Fraction(3), Fraction(-2, 5)), m=4, n=0, r=3, seq="u")
+    @example(abc=(Fraction(1, 2), Fraction(3), Fraction(-2, 5)), m=24, n=24, r=5, seq="u")
+    @example(abc=(Fraction(1, 2), Fraction(3), Fraction(-2, 5)), m=24, n=24, r=5, seq="v")
     def test_carried_sum_matches_the_per_summand_formula(
         self, abc: tuple[Fraction, Fraction, Fraction], m: int, n: int, r: int, seq: str
     ) -> None:
