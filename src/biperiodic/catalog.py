@@ -52,6 +52,13 @@ class CatalogEntry:
     kind: SequenceKind = SequenceKind.W
 
     @property
+    def name_pattern(self) -> str:
+        """The key with its argument names, as in ``k-fibonacci(k)``."""
+        if not self.arg_names:
+            return self.key
+        return f"{self.key}({','.join(self.arg_names)})"
+
+    @property
     def notation(self) -> str:
         w0, w1, a, b, c = self.slots
         return f"w({w0},{w1};{a},{b},{c})"
@@ -189,8 +196,4 @@ def lookup(name: str) -> NamedSequence:
 
 
 def _key_list() -> str:
-    keys = [
-        e.key if not e.arg_names else f"{e.key}({','.join(e.arg_names)})"
-        for e in _ENTRIES + _EXTRA_ENTRIES
-    ]
-    return ", ".join(keys)
+    return ", ".join(e.name_pattern for e in _ENTRIES + _EXTRA_ENTRIES)

@@ -33,6 +33,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from statistics import median
 
 from .catalog import UnknownSequenceError, entries, extra_entries, lookup
@@ -97,27 +98,24 @@ def _rational(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _index_list(text: str) -> list[int]:
-    pieces = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not pieces:
-        raise argparse.ArgumentTypeError("empty index list")
-    return [_positive_int(piece) for piece in pieces]
+def _method(text: str) -> Method:
+    try:
+        return Method(text)
+    except ValueError:
+        valid = ", ".join(m.value for m in Method)
+        raise argparse.ArgumentTypeError(f"unknown method {text!r} (valid: {valid})") from None
 
 
-def _method_list(text: str) -> list[Method]:
-    pieces = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not pieces:
-        raise argparse.ArgumentTypeError("empty method list")
-    methods = []
-    for piece in pieces:
-        try:
-            methods.append(Method(piece))
-        except ValueError:
-            valid = ", ".join(m.value for m in Method)
-            raise argparse.ArgumentTypeError(
-                f"unknown method {piece!r} (valid: {valid})"
-            ) from None
-    return methods
+def _comma_list(parse_piece, noun: str):
+    """An argparse type for a comma list of pieces; blanks are dropped."""
+
+    def parse(text: str) -> list:
+        pieces = [piece.strip() for piece in text.split(",") if piece.strip()]
+        if not pieces:
+            raise argparse.ArgumentTypeError(f"empty {noun} list")
+        return [parse_piece(piece) for piece in pieces]
+
+    return parse
 
 
 def _add_sequence_args(parser: argparse.ArgumentParser) -> None:
@@ -200,35 +198,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _print_plain_verify(summary: SuiteSummary, suite: str) -> None:
     print(f"suite={suite} seed={summary.seed} samples={summary.samples}")
-    buckets: dict[str, list[int]] = {}
-    for report in summary.results:
-        bucket = buckets.setdefault(str(report.id), [0, 0])
-        bucket[1] += 1
-        if report.passed:
-            bucket[0] += 1
-    for name, (ok, total) in buckets.items():
-        marker = "ok" if ok == total else "FAIL"
-        print(f"  {name:<12} {ok}/{total} passed  [{marker}]")
-    skip_counts: dict[tuple[str, str], int] = {}
-    for record in summary.skipped:
-        key = (str(record.id), record.reason)
-        skip_counts[key] = skip_counts.get(key, 0) + 1
-    for (name, reason), count in sorted(skip_counts.items()):
+    totals = Counter(str(report.id) for report in summary.results)
+    passes = Counter(str(report.id) for report in summary.results if report.passed)
+    for name, total in totals.items():  # first-seen order
+        marker = "ok" if passes[name] == total else "FAIL"
+        print(f"  {name:<12} {passes[name]}/{total} passed  [{marker}]")
+    skips = Counter((str(record.id), record.reason) for record in summary.skipped)
+    for (name, reason), count in sorted(skips.items()):
         print(f"  skipped {name} x{count}: {reason}")
-    mismatch_counts: dict[str, list[int]] = {}
-    for report in summary.results:
-        if report.printed_form_matches is None:
-            continue
-        bucket = mismatch_counts.setdefault(str(report.id), [0, 0])
-        bucket[1] += 1
-        if not report.printed_form_matches:
-            bucket[0] += 1
-    for name, (bad, total) in sorted(mismatch_counts.items()):
-        if bad:
-            print(
-                f"  warning: printed-form mismatch for {name} in {bad}/{total} checks "
-                "(simplified constant; informational only)"
-            )
+    printed = [report for report in summary.results if report.printed_form_matches is not None]
+    checks = Counter(str(report.id) for report in printed)
+    mismatches = Counter(str(report.id) for report in printed if not report.printed_form_matches)
+    for name, bad in sorted(mismatches.items()):
+        print(
+            f"  warning: printed-form mismatch for {name} in {bad}/{checks[name]} checks "
+            "(simplified constant; informational only)"
+        )
     print(f"passed={summary.passed} failed={summary.failed} skipped={len(summary.skipped)}")
 
 
@@ -264,12 +249,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for method in methods:
             counter = OpCounter()
             times = []
-            start = time.perf_counter()
-            value = term_fast(params, kind, n, method, counter)
-            times.append(time.perf_counter() - start)
-            for _ in range(args.repeat - 1):
+            for call in range(args.repeat):
                 start = time.perf_counter()
-                term_fast(params, kind, n, method)
+                value = term_fast(params, kind, n, method, counter if call == 0 else None)
                 times.append(time.perf_counter() - start)
             seen[method] = value
             rows.append(
@@ -307,11 +289,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     def describe(entry):
-        name = entry.key
-        if entry.arg_names:
-            name += f"({','.join(entry.arg_names)})"
         return {
-            "name": name,
+            "name": entry.name_pattern,
             "notation": entry.notation,
             "kind": entry.kind.value,
             "display_name": entry.display_name,
@@ -322,17 +301,17 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps({"entries": rows, "extra": extras}))
         return 0
-    for row in rows:
-        print(
-            f"{row['name']:<42} {row['notation']:<22} kind={row['kind']}  "
-            f"{row['display_name']}"
-        )
+
+    def print_rows(group):
+        for row in group:
+            print(
+                f"{row['name']:<42} {row['notation']:<22} kind={row['kind']}  "
+                f"{row['display_name']}"
+            )
+
+    print_rows(rows)
     print("extra lookup-only keys:")
-    for row in extras:
-        print(
-            f"{row['name']:<42} {row['notation']:<22} kind={row['kind']}  "
-            f"{row['display_name']}"
-        )
+    print_rows(extras)
     return 0
 
 
@@ -381,13 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sequence_args(bench)
     bench.add_argument(
         "--n-list",
-        type=_index_list,
+        type=_comma_list(_positive_int, "index"),
         required=True,
         help="comma-separated indices, all >= 1",
     )
     bench.add_argument(
         "--methods",
-        type=_method_list,
+        type=_comma_list(_method, "method"),
         default=[Method.MATRIX, Method.DOUBLING],
         help="comma-separated subset of naive,matrix,doubling",
     )

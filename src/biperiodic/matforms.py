@@ -77,28 +77,21 @@ def u_power_closed(p: Params, n: int) -> Mat2:
     """U^n assembled from u-terms, for any integer n.
 
     For n >= 0 the entries carry u(n-1), u(n), u(n+1) under parity weights
-    and the scale (ab)^floor(n/2); for n < 0 the inverse-power form divides
-    the reflected entry pattern by (-abc)^|n|.
+    and the scale (ab)^floor(n/2).  Since det U = -abc, U^-k = adj(U^k) /
+    (-abc)^k: the form at k with its diagonal swapped and its off-diagonal
+    negated.
     """
-    if n >= 0:
-        u_prev, u_n, u_next = term_range(p, SequenceKind.U, n - 1, n + 1)
-        z, z1 = zeta(n), zeta(n + 1)
-        scale = rat_pow(p.a * p.b, n // 2)
-        return Mat2(
-            rat_pow(p.b, z) * u_next,
-            p.c * p.b * rat_pow(p.a, -z1) * u_n,
-            rat_pow(p.a, z) * u_n,
-            p.c * rat_pow(p.b, z) * u_prev,
-        ).scaled(scale)
-    k = -n
-    u_prev, u_k, u_next = term_range(p, SequenceKind.U, k - 1, k + 1)
-    z, z1 = zeta(k), zeta(k + 1)
-    scale = rat_pow(p.a * p.b, k // 2) / rat_pow(-(p.a * p.b * p.c), k)
+    if n < 0:
+        m = u_power_closed(p, -n)
+        return Mat2(m.m22, -m.m12, -m.m21, m.m11).scaled(rat_pow(-(p.a * p.b * p.c), n))
+    u_prev, u_n, u_next = term_range(p, SequenceKind.U, n - 1, n + 1)
+    z, z1 = zeta(n), zeta(n + 1)
+    scale = rat_pow(p.a * p.b, n // 2)
     return Mat2(
-        p.c * rat_pow(p.b, z) * u_prev,
-        -(p.c * p.b * rat_pow(p.a, -z1) * u_k),
-        -(rat_pow(p.a, z) * u_k),
         rat_pow(p.b, z) * u_next,
+        p.c * p.b * rat_pow(p.a, -z1) * u_n,
+        rat_pow(p.a, z) * u_n,
+        p.c * rat_pow(p.b, z) * u_prev,
     ).scaled(scale)
 
 

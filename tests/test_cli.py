@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import biperiodic
 import biperiodic.cli as cli
+import biperiodic.identities as identities
 from biperiodic.catalog import lookup
 from biperiodic.cli import main
 from biperiodic.fastpath import term_doubling
@@ -32,6 +34,14 @@ HIGH_INDEX_REPORT_SHA256 = "7a1e88a75631db88fb758ffc7fac44bb2254219467a0a7011eea
 LOWEST_INDEX_REPORT_ARGS = ["verify", "--suite", "all", "--samples", "5", "--max-index", "1",
                             "--seed", "3", "--report", "json"]
 LOWEST_INDEX_REPORT_SHA256 = "cf7afa0d255da261816d9ac439574416316b38b2edd677f72fe318ffcfe3ed5d"
+# sha256 of the plain stdout of `verify --suite all --samples 30 --seed 11`: it
+# has both SUM skip reasons and a printed-form warning for part of the SUM checks.
+PLAIN_SKIP_REPORT_ARGS = ["verify", "--suite", "all", "--samples", "30", "--seed", "11"]
+PLAIN_SKIP_REPORT_SHA256 = "6189eaa84ead9b75c4175c986d3dcaf3cc7de0e5f6297b938dcf3b7a4dcdc967"
+# The same for the plain stdout of `verify --suite all --seed 7`.
+PLAIN_FIXED_SEED_REPORT_SHA256 = "a806c84eb51f180cd934f72765f1669a19c308a1e0aaf58b0147b2c0cc7158a0"
+# The same for the stdout of `catalog list`.
+CATALOG_LIST_SHA256 = "5b6bea04cb3a076e58f9c341e95ae10bfcb781597e8db72db6e4bcfd1d00f59a"
 
 CAP = cli._NAIVE_INDEX_CAP
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -232,6 +242,33 @@ class TestVerify:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LOWEST_INDEX_REPORT_SHA256
 
+    def test_plain_skip_report_digest(self, capsys: pytest.CaptureFixture[str]) -> None:
+        assert main(PLAIN_SKIP_REPORT_ARGS) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PLAIN_SKIP_REPORT_SHA256
+
+    def test_plain_fixed_seed_report_digest(self, capsys: pytest.CaptureFixture[str]) -> None:
+        assert main(["verify", "--suite", "all", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PLAIN_FIXED_SEED_REPORT_SHA256
+
+    def test_plain_fail_marker(
+        self, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        real = identities.check_cassini
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            report = real(*args, **kwargs)
+            calls.append(report)
+            return dataclasses.replace(report, passed=len(calls) > 1)
+
+        monkeypatch.setattr(identities, "check_cassini", first_fails)
+        assert main(["verify", "--suite", "cassini", "--samples", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "  CASSINI_W    1/2 passed  [FAIL]" in lines
+        assert lines[-1] == "passed=1 failed=1 skipped=0"
+
     def test_bogus_suite_exit_2(self) -> None:
         assert main(["verify", "--suite", "bogus"]) == 2
 
@@ -261,6 +298,15 @@ class TestBench:
         out = capsys.readouterr().out
         assert code == 0
         assert "doubling" in out and "matrix" in out and "muls" in out
+        masked = re.sub(r" +\d+\.\d{6}$", " S", out, flags=re.MULTILINE)
+        assert masked.splitlines() == [
+            "sequence w(0,1;1,1,1) kind=w repeat=2",
+            "method              n         muls      seconds",
+            "matrix             64           71 S",
+            "doubling           64           48 S",
+            "matrix            256           97 S",
+            "doubling          256           66 S",
+        ]
 
     def test_json_rows(self, capsys: pytest.CaptureFixture[str]) -> None:
         code = main(["bench", "--seq", "pell", "--n-list", "32", "--format", "json"])
@@ -294,6 +340,23 @@ class TestBench:
     def test_zero_index_rejected(self) -> None:
         assert main(["bench", "--seq", "fibonacci", "--n-list", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            (["--n-list", ","], "argument --n-list: empty index list"),
+            (["--n-list", "1", "--methods", ","], "argument --methods: empty method list"),
+            (
+                ["--n-list", "1", "--methods", "naive,foo"],
+                "argument --methods: unknown method 'foo' (valid: naive, matrix, doubling)",
+            ),
+        ],
+    )
+    def test_list_errors(
+        self, args: list[str], message: str, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        assert main(["bench", "--seq", "fibonacci", *args]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"biperiodic bench: error: {message}"
+
 
 class TestCatalog:
     def test_list_plain(self, capsys: pytest.CaptureFixture[str]) -> None:
@@ -301,6 +364,7 @@ class TestCatalog:
         out = capsys.readouterr().out
         assert "jacobsthal-lucas" in out and "w(2,1;1,1,2)" in out
         assert "extra lookup-only keys:" in out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CATALOG_LIST_SHA256
 
     def test_list_json(self, capsys: pytest.CaptureFixture[str]) -> None:
         assert main(["catalog", "list", "--format", "json"]) == 0
