@@ -248,12 +248,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seen: dict[Method, object] = {}
         for method in methods:
             counter = OpCounter()
+            seen[method] = term_fast(params, kind, n, method, counter)  # counted, untimed
             times = []
-            for call in range(args.repeat):
+            for _ in range(args.repeat):
                 start = time.perf_counter()
-                value = term_fast(params, kind, n, method, counter if call == 0 else None)
+                term_fast(params, kind, n, method)
                 times.append(time.perf_counter() - start)
-            seen[method] = value
             rows.append(
                 {
                     "method": method.value,

@@ -32,7 +32,10 @@ where x' is the same kind at (A, B, C) from the initial pair (0, 1), (2, B)
 or (M w0, M mu w1), m is 1, mu or mu M for U, V and W, and M clears the
 denominators of w0 and mu w1; x(0) is x'(0) / M for W and x'(0) for U and
 V.  This scale, ``_scale`` at ``_integer_point``, is the denominator the
-terms actually carry, and each one divides the next.
+terms actually carry, and each one divides the next.  Every prime of it
+divides the small base lam mu m, so ``_term`` reduces x'(k) over it by
+remainders and gcds against that base, and builds the ``Fraction`` without
+the public constructor's general gcd, which is quadratic in the term size.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import OpCounter, Rational, as_rational, dataclass_repr, rat_pow, to_text
+from .exact import _coprime_fraction
 
 __all__ = [
     "SequenceKind",
@@ -238,6 +242,26 @@ def _scale(pt: _IntegerPoint, k: int) -> int:
     return pt.lam ** ((k + 1) % 2 + half) * pt.mu**half * pt.m
 
 
+def _term(pt: _IntegerPoint, k: int, numer: int) -> Rational:
+    """x(k) in lowest terms from numer = x'(k), for k >= 0.
+
+    Every prime of the scale divides the small base B = lam mu m, so a
+    common factor of numer and the scale is gcd(numer mod B, B, scale mod B):
+    remainders by a small int, linear in the operands, and no gcd of two
+    large values.  A common factor h is squared while its square still
+    divides both, so a high power of it leaves in a few passes.
+    """
+    den = _scale(pt, k)
+    base = pt.lam * pt.mu * pt.m
+    h = math.gcd(numer % base, base, den % base)
+    while h > 1:
+        while numer % (square := h * h) == 0 and den % square == 0:
+            h = square
+        numer, den = numer // h, den // h
+        h = math.gcd(numer % base, base, den % base)
+    return _coprime_fraction(numer, den)
+
+
 class TermTable:
     """Terms of one sequence at one parameter point, walked on demand.
 
@@ -254,8 +278,9 @@ class TermTable:
 
     has integer coefficients, so no step reduces a fraction.  ``pair(k)``
     returns (x'(k), scale(k)) and builds no ``Fraction``; ``table[k]`` builds
-    the one ``Fraction`` of an index k >= 0 the first time it is read and
-    keeps it.  Index -k is index k of a mirror table at the reflected point
+    the one ``Fraction`` of an index k >= 0 through ``_term``, which reduces
+    by the factors of the known scale, the first time it is read, and keeps
+    it.  Index -k is index k of a mirror table at the reflected point
     (see :func:`reflected`), built on the first negative read; reflecting
     twice gives back this point, so the mirror is only ever read at k >= 0.
     """
@@ -277,7 +302,9 @@ class TermTable:
         if term is None:
             if key < 0:
                 return self._reflection()[-key]
-            term = self._terms[key] = Fraction(*self.pair(key))
+            if key > self._hi:
+                self._extend_up(key)
+            term = self._terms[key] = _term(self._point, key, self._nums[key])
         return term
 
     def pair(self, k: int) -> tuple[int, int]:

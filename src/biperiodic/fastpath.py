@@ -9,9 +9,12 @@ Two independent fast routes are provided next to the linear-time oracle:
 
 Both routes run on Python ints at the integer point of
 :mod:`biperiodic.core`, where the scaling of a rational point is stated
-once, and build one Fraction per result by dividing x'(n) by its scale.
-That scale is the denominator the terms actually carry, so the division is
-done once, at the end, on a numerator that shares few factors with it.  A
+once, and build one Fraction per result from x'(n) and its scale through
+``core._term``.  Every prime of that scale divides the small base lam mu m,
+so ``_term`` strips the common factor by remainders and gcds against the
+base, each linear in the size of the result, and never runs the general
+gcd of the public ``Fraction`` constructor, which is quadratic in that size
+and would be most of the cost of a large term at a rational point.  A
 negative index -n is index n of kind W at the reflected point (-a/c, -b/c,
 1/c) of :func:`biperiodic.core.reflected`, so the routes only ever evaluate
 n >= 1, and a counter passed at -n counts that reflected walk.
@@ -25,10 +28,9 @@ enforces the three-way agreement.  The backward recurrence of
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from .core import Params, SequenceKind, initial_pair, reflected, term_naive
-from .core import _integer_point, _IntegerPoint, _scale
+from .core import _integer_point, _IntegerPoint, _term
 from .exact import OpCounter, Rational
 
 __all__ = [
@@ -52,11 +54,6 @@ def _exact_div(x: int, d: int) -> int:
     if remainder:
         raise ArithmeticError(f"inexact division by {d} at an integer point")
     return quotient
-
-
-def _fraction(pt: _IntegerPoint, n: int, numer: int) -> Rational:
-    """x(n) as one Fraction, given x'(n) = numer at the integer point, n >= 0."""
-    return Fraction(numer, _scale(pt, n))
 
 
 def _times_ratio(pt: _IntegerPoint, k: int, x: int, counter: OpCounter | None) -> int:
@@ -116,15 +113,15 @@ def uv_doubling(
     """The pair (u(n), u(n+1)) in O(log n) multiplications, n >= 0.
 
     The pair is doubled on ints at the integer point (see the module
-    docstring and ``_u_pair``), then each term is divided by its scale as one
-    Fraction.  The counter, when given, accrues the exact number of integer
+    docstring and ``_u_pair``), then each term is reduced over its scale into
+    one Fraction.  The counter, when given, accrues the exact number of integer
     multiplications and divisions of the walk.
     """
     if n < 0:
         raise ValueError("doubling is defined for n >= 0")
     pt = _integer_point(p, SequenceKind.U)
     u_n, u_next = _u_pair(pt, n, counter)
-    return _fraction(pt, n, u_n), _fraction(pt, n + 1, u_next)
+    return _term(pt, n, u_n), _term(pt, n + 1, u_next)
 
 
 def term_doubling(
@@ -142,7 +139,7 @@ def term_doubling(
     if n < 0:
         p, kind, n = reflected(p, kind), SequenceKind.W, -n
     pt = _integer_point(p, kind)
-    return _fraction(pt, n, _from_u(pt, n, *_u_pair(pt, n - 1, counter), counter))
+    return _term(pt, n, _from_u(pt, n, *_u_pair(pt, n - 1, counter), counter))
 
 
 def _square(m: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -188,7 +185,7 @@ def term_matrix(
     numer = m21 * x2 + m22 * x1 if n % 2 else m11 * x2 + m12 * x1
     if counter is not None:
         counter.add(6)  # x2, ab + c, ac and the row read out
-    return _fraction(pt, n, numer)
+    return _term(pt, n, numer)
 
 
 def term_fast(

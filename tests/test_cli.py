@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -339,6 +340,33 @@ class TestBench:
 
     def test_zero_index_rejected(self) -> None:
         assert main(["bench", "--seq", "fibonacci", "--n-list", "0"]) == 2
+
+    def test_timed_calls_carry_no_counter(
+        self, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        # the clock is read once before and once after each timed call, so a
+        # call made after an odd number of reads is a timed one
+        from biperiodic.fastpath import Method, term_fast as real_term_fast
+
+        reads: list[None] = []
+        calls: list[tuple[bool, object]] = []
+
+        def clock() -> float:
+            reads.append(None)
+            return float(len(reads))
+
+        def recording(p, kind, n, method=Method.DOUBLING, counter=None):
+            calls.append((len(reads) % 2 == 1, counter))
+            return real_term_fast(p, kind, n, method, counter)
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=clock))
+        monkeypatch.setattr(cli, "term_fast", recording)
+        assert main(["bench", "--seq", "fibonacci", "--n-list", "64,256", "--repeat", "3"]) == 0
+        timed = [counter for is_timed, counter in calls if is_timed]
+        counted = [counter for is_timed, counter in calls if not is_timed]
+        assert len(timed) == 2 * 2 * 3 and all(counter is None for counter in timed)
+        assert len(counted) == 2 * 2 and all(counter is not None for counter in counted)
+        assert "matrix             64           71 " in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         ("args", "message"),

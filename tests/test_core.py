@@ -16,7 +16,9 @@ from biperiodic.core import (
     SequenceKind,
     TermTable,
     _integer_point,
+    _IntegerPoint,
     _scale,
+    _term,
     chi,
     discriminant,
     initial_pair,
@@ -343,3 +345,33 @@ class TestTermTable:
         for check, args in MEMO_CHECKS:
             for point in (p, q):
                 assert check_outcome(check, point, args) == fresh[point, check]
+
+
+@st.composite
+def scaled_numerators(draw: st.DrawFn) -> tuple[_IntegerPoint, int, int]:
+    """A point's scale data, an index k >= 0 and a numerator to reduce over its scale.
+
+    m0 divides m, as at every point built by ``_integer_point``.  Half of the
+    numerators are lam^e mu^f q with e, f up to 64, so a common factor is
+    often a high prime power.
+    """
+    lam, mu, m0 = draw(st.integers(1, 36)), draw(st.integers(1, 36)), draw(st.integers(1, 12))
+    m = m0 * draw(st.integers(1, 12))
+    k = draw(st.integers(0, 160))
+    plain = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(2**300), 2**300))
+    powers = st.builds(
+        lambda e, f, q: lam**e * mu**f * q,
+        st.integers(0, 64), st.integers(0, 64), st.integers(-(10**6), 10**6),
+    )
+    return _IntegerPoint(lam, mu, m, m0, 1, 1, 1, 0, 1), k, draw(st.one_of(plain, powers))
+
+
+class TestTerm:
+    """``_term`` reduces a numerator over its scale to lowest terms."""
+
+    @given(case=scaled_numerators())
+    def test_matches_public_constructor(self, case: tuple[_IntegerPoint, int, int]) -> None:
+        pt, k, numer = case
+        built, public = _term(pt, k, numer), Fraction(numer, _scale(pt, k))
+        assert (built.numerator, built.denominator) == (public.numerator, public.denominator)
+        assert built == public and hash(built) == hash(public)

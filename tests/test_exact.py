@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import decimal
+import math
 import random
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ from biperiodic.exact import (
     Mat2,
     OpCounter,
     SingularMatrixError,
+    _coprime_fraction,
     as_rational,
     mat_det,
     mat_inv,
@@ -46,6 +48,33 @@ def drawn_int(digits: int, seed: int) -> int:
 # up to 10^5 digits, half of the draws at the default limit of 4300 digits or
 # at the top of the range
 digit_counts = st.one_of(st.sampled_from([4299, 4300, 4301, 100_000]), st.integers(1, 100_000))
+
+
+@st.composite
+def coprime_pairs(draw: st.DrawFn) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms, denominator > 0, up to 200 bits."""
+    numerator = draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(2**200), 2**200)))
+    denominator = draw(st.integers(1, 2**200))
+    common = math.gcd(numerator, denominator)
+    return numerator // common, denominator // common
+
+
+class TestCoprimeFraction:
+    """The slot-level constructor against the public one, on coprime pairs."""
+
+    @given(pair=coprime_pairs(), other=rationals)
+    def test_matches_public_constructor(self, pair: tuple[int, int], other: Fraction) -> None:
+        built, public = _coprime_fraction(*pair), Fraction(*pair)
+        assert type(built) is Fraction
+        assert (built.numerator, built.denominator) == (public.numerator, public.denominator)
+        assert hash(built) == hash(public)
+        assert built == public and public == built
+        assert str(built) == str(public) and repr(built) == repr(public)
+        assert built * other + 1 == public * other + 1
+
+    def test_zero(self) -> None:
+        zero = _coprime_fraction(0, 1)
+        assert zero == 0 and hash(zero) == hash(0) and str(zero) == "0" and not zero
 
 
 class TestAsRational:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biperiodic.core import Params, SequenceKind, term_naive
+from biperiodic.core import Params, SequenceKind, _integer_point, _scale, term_naive
 from biperiodic.exact import OpCounter
 from biperiodic.fastpath import Method, term_doubling, term_fast, term_matrix, uv_doubling
+from biperiodic.fastpath import _from_u, _u_pair
 from conftest import P_STAR, random_params
 
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
@@ -148,3 +149,15 @@ class TestIntegerPointScaling:
                 expected = term_naive(p, kind, n)
                 assert term_doubling(p, kind, n) == expected, (kind, n)
                 assert term_matrix(p, kind, n) == expected, (kind, n)
+
+    @pytest.mark.parametrize(("w0", "w1", "common"), [(1, 1, 25), (Fraction(1, 3), 2, 150)])
+    def test_reduced_past_a_shared_factor(self, w0: Fraction, w1: Fraction, common: int) -> None:
+        # x'(n) and its scale share a factor here, so both routes must reduce
+        # the quotient exactly as the public constructor does
+        p, n = Params(Fraction(1, 2), 3, Fraction(-2, 5), w0, w1), 2**18 + 3
+        pt = _integer_point(p, W)
+        numer, den = _from_u(pt, n, *_u_pair(pt, n - 1, None), None), _scale(pt, n)
+        assert math.gcd(numer, den) == common
+        plain = Fraction(numer, den)
+        for value in (term_doubling(p, W, n), term_matrix(p, W, n)):
+            assert (value.numerator, value.denominator) == (plain.numerator, plain.denominator)
