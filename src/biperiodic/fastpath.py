@@ -4,6 +4,8 @@ Two independent fast routes are provided next to the linear-time oracle:
 
 * ``matrix`` -- binary powers of the period-2 transfer matrix, which
   advances a pair of consecutive terms by one full period of the recurrence;
+  the term is read as one row of the half power times one column, never
+  from a last full square;
 * ``doubling`` -- index doubling on the pair (u(n), u(n+1)), driven by the
   addition identities of the u-sequence.
 
@@ -159,9 +161,12 @@ def term_matrix(
     single step takes the initial pair to (x'(2), x'(1)), and P^e with
     e = (n-1)//2 takes that to (x'(2e+2), x'(2e+1)), so x'(n) for n >= 1 is
     read from the top row when n is even and from the bottom row when n is
-    odd; only that row is formed.  P^e is built most significant bit first:
+    odd.  The loop builds P^h with h = e // 2, most significant bit first:
     each level squares the power and a set bit multiplies it by P, whose
-    entries are small.  The result is one Fraction (see the module
+    entries are small.  The last level is not squared out: P^e = P^h P^h
+    P^(e mod 2), so x'(n) is that row of P^h times the column
+    P^h P^(e mod 2) (x'(2), x'(1)), two half-size products where a full
+    square would take five.  The result is one Fraction (see the module
     docstring).  A negative index is the same route at the reflected point.
     """
     if n == 0:
@@ -172,8 +177,9 @@ def term_matrix(
     a, b, c, x0, x1 = pt.a, pt.b, pt.c, pt.x0, pt.x1
     x2 = a * x1 + c * x0
     ab_c, ac = a * b + c, a * c
+    half, odd_e = divmod((n - 1) // 2, 2)
     power = (1, 0, 0, 1)
-    for bit in bin((n - 1) // 2)[2:]:
+    for bit in bin(half)[2:] if half else "":
         power = _square(power)
         if bit == "1":
             m11, m12, m21, m22 = power
@@ -181,10 +187,14 @@ def term_matrix(
                      m21 * ab_c + m22 * b, m21 * ac + m22 * c)
         if counter is not None:
             counter.add(13 if bit == "1" else 5)
+    y1, y2 = (ab_c * x2 + ac * x1, b * x2 + c * x1) if odd_e else (x2, x1)
     m11, m12, m21, m22 = power
-    numer = m21 * x2 + m22 * x1 if n % 2 else m11 * x2 + m12 * x1
+    col1, col2 = m11 * y1 + m12 * y2, m21 * y1 + m22 * y2
+    numer = m21 * col1 + m22 * col2 if n % 2 else m11 * col1 + m12 * col2
     if counter is not None:
-        counter.add(6)  # x2, ab + c, ac and the row read out
+        # x2, ab + c and ac (4); P (x2, x1) when e is odd (4); the column
+        # (4); the row by the column (2)
+        counter.add(10 + 4 * odd_e)
     return _term(pt, n, numer)
 
 

@@ -303,9 +303,9 @@ class TestBench:
         assert masked.splitlines() == [
             "sequence w(0,1;1,1,1) kind=w repeat=2",
             "method              n         muls      seconds",
-            "matrix             64           71 S",
+            "matrix             64           66 S",
             "doubling           64           48 S",
-            "matrix            256           97 S",
+            "matrix            256           92 S",
             "doubling          256           66 S",
         ]
 
@@ -366,7 +366,7 @@ class TestBench:
         counted = [counter for is_timed, counter in calls if not is_timed]
         assert len(timed) == 2 * 2 * 3 and all(counter is None for counter in timed)
         assert len(counted) == 2 * 2 and all(counter is not None for counter in counted)
-        assert "matrix             64           71 " in capsys.readouterr().out
+        assert "matrix             64           66 " in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         ("args", "message"),

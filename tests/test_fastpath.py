@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from biperiodic.core import Params, SequenceKind, _integer_point, _scale, term_naive
@@ -15,6 +15,8 @@ from biperiodic.fastpath import _from_u, _u_pair
 from conftest import P_STAR, random_params
 
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
+FIBONACCI = Params(1, 1, 1, 0, 1)
+RATIONAL = Params(Fraction(1, 2), 3, Fraction(-2, 5), Fraction(1, 3), 2)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 nonzero = rationals.filter(lambda x: x != 0)
@@ -90,6 +92,19 @@ class TestMethodsAgree:
                     assert term_doubling(p, kind, n) == expected
 
     @given(p=rational_points(), n=indices)
+    # at |n| <= 4 the matrix route runs no loop level (h = (|n| - 1) // 4 = 0)
+    @example(p=RATIONAL, n=1)
+    @example(p=RATIONAL, n=2)
+    @example(p=RATIONAL, n=3)
+    @example(p=RATIONAL, n=4)
+    @example(p=RATIONAL, n=5)
+    @example(p=RATIONAL, n=6)
+    @example(p=RATIONAL, n=-1)
+    @example(p=RATIONAL, n=-2)
+    @example(p=RATIONAL, n=-3)
+    @example(p=RATIONAL, n=-4)
+    @example(p=RATIONAL, n=-5)
+    @example(p=RATIONAL, n=-6)
     def test_three_way_agreement_property(self, p: Params, n: int) -> None:
         for kind in SequenceKind:
             expected = term_naive(p, kind, n)
@@ -112,6 +127,78 @@ class TestMethodsAgree:
         doubling = OpCounter()
         term_doubling(P_STAR, U, 64, counter=doubling)
         assert counter.muls == doubling.muls
+
+
+class TestMatrixReadout:
+    """The matrix route stops its loop at P^h, h = e // 2 for e = (n - 1) // 2,
+    and reads x'(n) as a row of P^h times the column P^h P^(e mod 2) (x2, x1)."""
+
+    @pytest.mark.parametrize(
+        ("e", "muls"),
+        [
+            # no loop level: x2, ab + c and ac (4), the column (4), the row (2),
+            # and P (x2, x1) (4) when e is odd
+            (0, 10),
+            (1, 14),
+            # h = 1: one level that squares and multiplies by P (5 + 8)
+            (2, 13 + 10),
+            (3, 13 + 14),
+            # e = 2^k - 1: h = 2^(k-1) - 1 has k - 1 set bits
+            *((2**k - 1, 13 * (k - 1) + 14) for k in (3, 5, 10, 17)),
+            # e = 2^k: h = 2^(k-1) has one set bit and k - 1 clear ones
+            *((2**k, 13 + 5 * (k - 1) + 10) for k in (2, 5, 10, 17)),
+        ],
+    )
+    def test_multiplication_count(self, e: int, muls: int) -> None:
+        for n in (2 * e + 1, 2 * e + 2):
+            counter = OpCounter()
+            term_matrix(P_STAR, W, n, counter)
+            assert counter.muls == muls, n
+
+    @pytest.mark.parametrize(
+        "p", [FIBONACCI, P_STAR, RATIONAL], ids=["fibonacci", "p_star", "rational"]
+    )
+    def test_agreement_around_powers_of_two(self, p: Params) -> None:
+        for k in range(1, 17):
+            for j in (-1, 0, 1, 2, 3):
+                for n in (2**k + j, -(2**k + j)):
+                    for kind in SequenceKind:
+                        value = term_matrix(p, kind, n)
+                        assert value == term_doubling(p, kind, n), (kind, n)
+                        if abs(n) <= 64:
+                            assert value == term_naive(p, kind, n), (kind, n)
+
+
+class TestIdentitiesAtDepth:
+    """Cassini (L1.1) and the addition rule (L1.2) of u, written out here as
+    plain Fraction formulas and evaluated on matrix-route terms far out; no
+    comparison with the doubling route."""
+
+    @pytest.mark.parametrize(
+        ("p", "n"),
+        [(P_STAR, 2**16), (P_STAR, 2**16 + 1), (FIBONACCI, 2**16 + 2), (FIBONACCI, 2**16 + 3),
+         (RATIONAL, 2**12), (RATIONAL, 2**12 + 1)],
+    )
+    def test_cassini(self, p: Params, n: int) -> None:
+        # (a/b)^zeta(n) u(n)^2 - (a/b)^zeta(n+1) u(n-1) u(n+1) = (a/b) (-c)^(n-1)
+        ab = p.a / p.b
+        u = {k: term_matrix(p, U, k) for k in (n - 1, n, n + 1)}
+        lhs = ab ** (n % 2) * u[n] ** 2 - ab ** ((n + 1) % 2) * u[n - 1] * u[n + 1]
+        assert lhs == ab * (-p.c) ** (n - 1)
+
+    @pytest.mark.parametrize(
+        ("p", "m", "n"),
+        [(P_STAR, 2**15 + 1, 2**15 + 2), (P_STAR, 2**15, 2**15 + 4),
+         (FIBONACCI, 2**15 + 3, 2**15), (FIBONACCI, 2**15 + 1, 2**15 + 1),
+         (RATIONAL, 2**11 + 1, 2**11 + 2), (RATIONAL, 2**11, 2**11 + 4)],
+    )
+    def test_addition(self, p: Params, m: int, n: int) -> None:
+        # (b/a)^zeta(mn+n) u(m) u(n+1) + (b/a)^zeta(mn+m) c u(n) u(m-1) = u(n+m)
+        ba = p.b / p.a
+        u = {k: term_matrix(p, U, k) for k in (m - 1, m, n, n + 1, n + m)}
+        lhs = (ba ** ((m * n + n) % 2) * u[m] * u[n + 1]
+               + ba ** ((m * n + m) % 2) * p.c * u[n] * u[m - 1])
+        assert lhs == u[n + m]
 
 
 class TestLargeIndex:
