@@ -20,7 +20,7 @@ stepping the recurrence |n| times.  The logarithmic-time routes in
 from the initial pair on every call, on ``Fraction`` values, in either
 direction, and is the anchor; :class:`TermTable` keeps the terms it has
 walked, so repeated lookups at one parameter point cost only the steps not
-yet taken, and :func:`term_range` is a slice of a fresh table.
+yet taken, and :func:`term_range` reads a fresh table index by index.
 
 A table and both fast routes walk on Python ints at one integer point.  With
 lam = den a and mu = lcm(den b, den c / gcd(den c, lam)), (A, B, C) = (lam a,
@@ -265,11 +265,10 @@ def _term(pt: _IntegerPoint, k: int, numer: int) -> Rational:
 class TermTable:
     """Terms of one sequence at one parameter point, walked on demand.
 
-    ``table[n]`` is the term at any integer n; ``table[lo:stop]`` is the list
-    of terms at lo..stop-1; ``table.pair(n)`` is the term at n as an
-    unreduced pair of ints.  A lookup past the walked window extends it by
-    the forward step, so every term is computed once per table however often
-    it is read.
+    ``table[n]`` is the term at any integer n; ``table.pair(n)`` is the term
+    at n as an unreduced pair of ints.  A lookup past the walked window
+    extends it by the forward step, so every term is computed once per table
+    however often it is read.
 
     The walk runs upward on Python ints at the integer point (A, B, C) of
     the module docstring, from its initial pair:
@@ -293,11 +292,7 @@ class TermTable:
         self._hi = 1
         self._mirror: TermTable | None = None
 
-    def __getitem__(self, key: int | slice) -> Rational | list[Rational]:
-        if isinstance(key, slice):
-            if key.start is None or key.stop is None or key.step is not None:
-                raise ValueError("term slices need a start and a stop and no step")
-            return [self[k] for k in range(key.start, key.stop)]
+    def __getitem__(self, key: int) -> Rational:
         term = self._terms.get(key)
         if term is None:
             if key < 0:
@@ -346,7 +341,8 @@ def term_range(p: Params, kind: SequenceKind, lo: int, hi: int) -> list[Rational
     """Terms at indices lo..hi inclusive, in one upward walk per sign of index."""
     if lo > hi:
         raise ValueError(f"empty index range: {lo}..{hi}")
-    return TermTable(p, kind)[lo : hi + 1]
+    table = TermTable(p, kind)
+    return [table[k] for k in range(lo, hi + 1)]
 
 
 def _from_u(p: Params, n: int, pair: tuple[Rational, Rational]) -> Rational:

@@ -58,20 +58,19 @@ def _exact_div(x: int, d: int) -> int:
     return quotient
 
 
-def _times_ratio(pt: _IntegerPoint, k: int, x: int, counter: OpCounter | None) -> int:
-    """(b/a)^zeta(k) * x, exact when k is odd and x a multiple of an even-index u-term."""
-    if k % 2 == 0:
-        return x
-    if counter is not None:
-        counter.add(2)
-    return _exact_div(pt.b * x, pt.a)
-
-
 def _from_u(pt: _IntegerPoint, k: int, u_prev: int, u_k: int, counter: OpCounter | None) -> int:
-    """x'(k) = x1 u'(k) + c x0 (b/a)^zeta(k) u'(k-1) for k >= 1."""
+    """x'(k) = x1 u'(k) + c x0 (b/a)^zeta(k) u'(k-1) for k >= 1.
+
+    At odd k, u'(k-1) has an even index and so is a multiple of a, and the
+    division by a is exact.  The counter gets 3 operations, and 2 more at
+    odd k.
+    """
+    tail = pt.c * pt.x0 * u_prev
+    if k % 2:
+        tail = _exact_div(pt.b * tail, pt.a)
     if counter is not None:
-        counter.add(3)
-    return pt.x1 * u_k + _times_ratio(pt, k, pt.c * pt.x0 * u_prev, counter)
+        counter.add(5 if k % 2 else 3)
+    return pt.x1 * u_k + tail
 
 
 def _u_pair(pt: _IntegerPoint, n: int, counter: OpCounter | None) -> tuple[int, int]:

@@ -168,9 +168,9 @@ class IdentityReport:
     """Outcome of one identity check at one parameter/index point.
 
     ``passed`` means exact equality of the sides (for SUM: three-way equality
-    of direct sum, matrix oracle, and corrected closed form).  The printed
-    form fields are populated for SUM only; ``printed_form_matches`` compares
-    the simplified-constant value against the true sum and is informational.
+    of direct sum, matrix oracle, and corrected closed form).
+    ``printed_form_value`` is set for SUM only; ``printed_form_matches``
+    compares it against the true sum ``lhs`` and is informational.
     """
 
     id: IdentityId
@@ -180,10 +180,15 @@ class IdentityReport:
     rhs: Rational
     passed: bool
     printed_form_value: Rational | None = None
-    printed_form_matches: bool | None = None
-    sample: int | None = None
 
     __repr__ = dataclass_repr
+
+    @property
+    def printed_form_matches(self) -> bool | None:
+        """Whether the printed form equals the sum; None where it has no value."""
+        if self.printed_form_value is None:
+            return None
+        return self.printed_form_value == self.lhs
 
     def to_dict(self) -> dict:
         payload: dict = {
@@ -626,7 +631,6 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     direct = _direct_sum(p, xs, shift, m, n, r)
     # the oracle has raised SingularSeriesError where det(I - K^m) is zero
     closed_value, printed_value = _closed_sums(p, xs, shift, m, n, r, sum_constants(p, m))
-    matches = None if printed_value is None else printed_value == direct
     return IdentityReport(
         IdentityId(Family.SUM, seq),
         p,
@@ -635,7 +639,6 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
         closed_value,
         direct == oracle == closed_value,
         printed_value,
-        matches,
     )
 
 
@@ -793,8 +796,8 @@ def run_suite(config: SuiteConfig) -> SuiteSummary:
 
     A fixed seed reproduces the identical summary, byte for byte, because
     parameter and index draws happen in a fixed order and reports are sorted
-    by (identity, sample).  Precondition failures (zero discriminant, zero
-    series constant) become skip records, never failures.
+    by identity, in sample order within each.  Precondition failures (zero
+    discriminant, zero series constant) become skip records, never failures.
     """
     if config.samples < 1:
         raise ValueError("samples must be >= 1")
@@ -818,25 +821,12 @@ def run_suite(config: SuiteConfig) -> SuiteSummary:
                 }
                 keyword = {} if spec.keyword is None else {spec.keyword: sub}
                 try:
-                    report = globals()[spec.checker](p, **idx, **keyword)
+                    results.append(globals()[spec.checker](p, **idx, **keyword))
                 except (DegenerateParametersError, SingularSeriesError) as exc:
                     skipped.append(SkipRecord(IdentityId(family, sub), sample, str(exc), p))
-                    continue
-                results.append(
-                    IdentityReport(
-                        report.id,
-                        report.params,
-                        report.indices,
-                        report.lhs,
-                        report.rhs,
-                        report.passed,
-                        report.printed_form_value,
-                        report.printed_form_matches,
-                        sample,
-                    )
-                )
-    results.sort(key=lambda rep: (rep.id.sort_key, rep.sample))
-    skipped.sort(key=lambda rec: (rec.id.sort_key, rec.sample))
+    # stable sorts: within one identity the records stay in sample order
+    results.sort(key=lambda rep: rep.id.sort_key)
+    skipped.sort(key=lambda rec: rec.id.sort_key)
     passed = sum(1 for rep in results if rep.passed)
     return SuiteSummary(
         families,

@@ -11,7 +11,12 @@ Five matrices, tagged U, K, H, T, A, encode the recurrence:
 Every ``*_power_closed`` function assembles the n-th power entrywise from
 sequence terms produced by the linear-time recurrence, so it is a route to
 the same matrix that is fully independent of square-and-multiply; agreement
-of the two is a primary test surface.
+of the two is a primary test surface.  One entrywise form, U^k on
+(x(k-1), x(k), x(k+1)), holds the parity weights and the scale
+(ab)^floor(k/2).  U^n is that form on u-terms, T U^n is the form of U^(n+1)
+on w-terms, and A^n = D U^n D^-1 with D = diag(1, 1/a).  K^n is assembled
+from u(n) and v(n), and its coefficients in {H, I} and {K, I} are read from
+its entries, since K = (ab I + H) / 2.
 """
 
 from __future__ import annotations
@@ -73,47 +78,49 @@ def build(tag: MatrixTag, p: Params) -> Mat2:
     return Mat2(ab, ab * p.c, 1, 0)
 
 
+def _u_form(p: Params, k: int, terms: list[Rational]) -> Mat2:
+    """The entrywise form of U^k, k >= 0, filled with (x(k-1), x(k), x(k+1)).
+
+    The entries carry the three terms under the parity weights b^zeta(k),
+    a^zeta(k) and a^-zeta(k+1), and the scale (ab)^floor(k/2).
+    """
+    x_prev, x_k, x_next = terms
+    z, z1 = zeta(k), zeta(k + 1)
+    return Mat2(
+        rat_pow(p.b, z) * x_next,
+        p.c * p.b * rat_pow(p.a, -z1) * x_k,
+        rat_pow(p.a, z) * x_k,
+        p.c * rat_pow(p.b, z) * x_prev,
+    ).scaled(rat_pow(p.a * p.b, k // 2))
+
+
 def u_power_closed(p: Params, n: int) -> Mat2:
     """U^n assembled from u-terms, for any integer n.
 
-    For n >= 0 the entries carry u(n-1), u(n), u(n+1) under parity weights
-    and the scale (ab)^floor(n/2).  Since det U = -abc, U^-k = adj(U^k) /
-    (-abc)^k: the form at k with its diagonal swapped and its off-diagonal
-    negated.
+    For n >= 0 it is the entrywise form of U^n on u(n-1), u(n), u(n+1).
+    Since det U = -abc, U^-k = adj(U^k) / (-abc)^k: the form at k with its
+    diagonal swapped and its off-diagonal negated.
     """
     if n < 0:
         m = u_power_closed(p, -n)
         return Mat2(m.m22, -m.m12, -m.m21, m.m11).scaled(rat_pow(-(p.a * p.b * p.c), n))
-    u_prev, u_n, u_next = term_range(p, SequenceKind.U, n - 1, n + 1)
-    z, z1 = zeta(n), zeta(n + 1)
-    scale = rat_pow(p.a * p.b, n // 2)
-    return Mat2(
-        rat_pow(p.b, z) * u_next,
-        p.c * p.b * rat_pow(p.a, -z1) * u_n,
-        rat_pow(p.a, z) * u_n,
-        p.c * rat_pow(p.b, z) * u_prev,
-    ).scaled(scale)
-
-
-def _require_generic(p: Params) -> None:
-    if discriminant(p) == 0:
-        raise DegenerateParametersError(
-            "discriminant is zero for these parameters"
-        )
+    return _u_form(p, n, term_range(p, SequenceKind.U, n - 1, n + 1))
 
 
 def k_power_closed(p: Params, n: int) -> Mat2:
     """K^n assembled from u- and v-terms; n >= 0, nonzero discriminant required."""
     if n < 0:
         raise ValueError("closed form is stated for n >= 0")
-    _require_generic(p)
+    d = discriminant(p)
+    if d == 0:
+        raise DegenerateParametersError("discriminant is zero for these parameters")
     u_n = term_naive(p, SequenceKind.U, n)
     v_n = term_naive(p, SequenceKind.V, n)
     z = zeta(n)
     half_scale = rat_pow(p.a * p.b, n // 2) / 2
     diag = rat_pow(p.a, z) * v_n
     off = rat_pow(p.a, z - 1) * u_n
-    return Mat2(diag, discriminant(p) * off, off, diag).scaled(half_scale)
+    return Mat2(diag, d * off, off, diag).scaled(half_scale)
 
 
 def k_power_decompose(
@@ -123,55 +130,35 @@ def k_power_decompose(
 
     Returns ``((alpha, beta), (gamma, delta))`` with
     K^n = alpha H + beta I = gamma K + delta I; n >= 0 and a nonzero
-    discriminant are required.
+    discriminant are required.  Since H = [[0, D], [1, 0]], alpha and beta
+    are the entries [2,1] and [1,1] of K^n; since H = 2K - ab I,
+    gamma = 2 alpha and delta = beta - ab alpha.
     """
     if n < 0:
         raise ValueError("decomposition is stated for n >= 0")
-    _require_generic(p)
-    u_prev, u_n = term_range(p, SequenceKind.U, n - 1, n)
-    v_n = term_naive(p, SequenceKind.V, n)
-    scale = rat_pow(p.a * p.b, n // 2)
-    z = zeta(n)
-    alpha = scale / 2 * rat_pow(p.a, z - 1) * u_n
-    beta = scale / 2 * rat_pow(p.a, z) * v_n
-    gamma = scale * rat_pow(p.a, z - 1) * u_n
-    delta = scale * p.c * rat_pow(p.b, z) * u_prev
-    return (alpha, beta), (gamma, delta)
+    power = k_power_closed(p, n)
+    alpha, beta = power.m21, power.m11
+    return (alpha, beta), (2 * alpha, beta - p.a * p.b * alpha)
 
 
 def tu_power_closed(p: Params, n: int) -> Mat2:
     """T U^n assembled from w-terms; n >= 0.
 
-    Entries carry w(n), w(n+1), w(n+2) under parity weights and the scale
-    (ab)^floor((n+1)/2).
+    T U^n = cb w0 U^n + w1 U^(n+1) has the entrywise form of U^(n+1),
+    filled with w(n), w(n+1), w(n+2) in place of the u-terms.
     """
     if n < 0:
         raise ValueError("closed form is stated for n >= 0")
-    w_n, w_next, w_next2 = term_range(p, SequenceKind.W, n, n + 2)
-    z, z1 = zeta(n), zeta(n + 1)
-    scale = rat_pow(p.a * p.b, (n + 1) // 2)
-    return Mat2(
-        rat_pow(p.b, z1) * w_next2,
-        p.c * p.b * rat_pow(p.a, -z) * w_next,
-        rat_pow(p.a, z1) * w_next,
-        p.c * rat_pow(p.b, z1) * w_n,
-    ).scaled(scale)
+    return _u_form(p, n + 1, term_range(p, SequenceKind.W, n, n + 2))
 
 
 def a_power_closed(p: Params, n: int) -> Mat2:
     """A^n assembled from u-terms; n >= 0.
 
-    Same term content as U^n but with the parity weights of the off-diagonal
-    entries swapped, matching A's different corner placement of a and c.
+    A = D U D^-1 with D = diag(1, 1/a), so A^n is U^n with its [1,2] entry
+    times a and its [2,1] entry divided by a.
     """
     if n < 0:
         raise ValueError("closed form is stated for n >= 0")
-    u_prev, u_n, u_next = term_range(p, SequenceKind.U, n - 1, n + 1)
-    z, z1 = zeta(n), zeta(n + 1)
-    scale = rat_pow(p.a * p.b, n // 2)
-    return Mat2(
-        rat_pow(p.b, z) * u_next,
-        p.c * p.b * rat_pow(p.a, z) * u_n,
-        rat_pow(p.a, -z1) * u_n,
-        p.c * rat_pow(p.b, z) * u_prev,
-    ).scaled(scale)
+    m = u_power_closed(p, n)
+    return Mat2(m.m11, m.m12 * p.a, m.m21 / p.a, m.m22)

@@ -326,14 +326,6 @@ class TestTermTable:
         for order, out in zip(orders, seen):
             assert out == [[term_naive(p, W, n) for n in order]] * len(tables)
 
-    def test_slice(self) -> None:
-        table = TermTable(P_STAR, W)
-        assert table[5] == 79  # grow the window before slicing across it
-        assert table[-4:6] == [term_naive(P_STAR, W, n) for n in range(-4, 6)]
-        assert table[2:2] == []
-        with pytest.raises(ValueError):
-            table[:3]
-
     @settings(max_examples=15)
     @given(p=points, q=points)
     def test_memo_keeps_points_apart(self, p: Params, q: Params) -> None:

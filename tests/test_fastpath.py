@@ -169,6 +169,23 @@ class TestMatrixReadout:
                             assert value == term_naive(p, kind, n), (kind, n)
 
 
+class TestDoublingCount:
+    """The doubling route walks the u-pair from index 1 up to n - 1, then reads
+    x'(n) from u'(n-1) and u'(n)."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, *(2**k + j for k in (2, 5, 10, 17) for j in (-1, 0, 1))]
+    )
+    def test_multiplication_count(self, n: int) -> None:
+        # each level of the walk 7, each set bit of n - 1 below the leading
+        # one 2 more; the readout 3, and 2 more at odd n; n = 1 walks nothing
+        walk = n - 1
+        levels, steps = max(walk.bit_length() - 1, 0), max(bin(walk).count("1") - 1, 0)
+        counter = OpCounter()
+        term_doubling(P_STAR, W, n, counter)
+        assert counter.muls == 7 * levels + 2 * steps + 3 + 2 * (n % 2)
+
+
 class TestIdentitiesAtDepth:
     """Cassini (L1.1) and the addition rule (L1.2) of u, written out here as
     plain Fraction formulas and evaluated on matrix-route terms far out; no

@@ -571,6 +571,24 @@ class TestRunSuite:
         keys = [r.id.sort_key for r in summary.results]
         assert keys == sorted(keys)
 
+    def test_sample_order_within_each_identity(self) -> None:
+        # the sort by identity alone must keep each identity's reports and
+        # skips in the order of the samples that made them
+        points = (P_STAR, DEGENERATE, Params(Fraction(1, 2), 3, Fraction(-2, 5), Fraction(1, 3), 2))
+        summary = run_suite(SuiteConfig(samples=7, seed=6, params=points))
+        skipped_at: dict[IdentityId, list[int]] = {}
+        for record in summary.skipped:
+            skipped_at.setdefault(record.id, []).append(record.sample)
+        ran_at: dict[IdentityId, list[Params]] = {}
+        for report in summary.results:
+            ran_at.setdefault(report.id, []).append(report.params)
+        assert skipped_at  # the degenerate point skips L2 and SUM
+        for ident in ran_at.keys() | skipped_at.keys():
+            skips = skipped_at.get(ident, [])
+            assert skips == sorted(skips), ident
+            expected = [points[s % 3] for s in range(7) if s not in skips]
+            assert ran_at.get(ident, []) == expected, ident
+
     def test_family_subset(self) -> None:
         summary = run_suite(SuiteConfig(families=(Family.CASSINI_W,), samples=6, seed=3))
         assert {r.id.family for r in summary.results} == {Family.CASSINI_W}
