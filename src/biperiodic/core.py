@@ -32,10 +32,12 @@ where x' is the same kind at (A, B, C) from the initial pair (0, 1), (2, B)
 or (M w0, M mu w1), m is 1, mu or mu M for U, V and W, and M clears the
 denominators of w0 and mu w1; x(0) is x'(0) / M for W and x'(0) for U and
 V.  This scale, ``_scale`` at ``_integer_point``, is the denominator the
-terms actually carry, and each one divides the next.  Every prime of it
-divides the small base lam mu m, so ``_term`` reduces x'(k) over it by
-remainders and gcds against that base, and builds the ``Fraction`` without
-the public constructor's general gcd, which is quadratic in the term size.
+terms actually carry, and each one divides the next.  A :class:`TermTable`
+carries it along its walk; the fast routes, which jump to one index, compute
+it.  Every prime of it divides the small base lam mu m, so ``_term`` reduces
+x'(k) over it by remainders and gcds against that base, and builds the
+``Fraction`` without the public constructor's general gcd, which is
+quadratic in the term size.
 """
 
 from __future__ import annotations
@@ -275,32 +277,30 @@ class TermTable:
 
         x'(k) = chi'(k) x'(k-1) + C x'(k-2),   chi'(k) = A at even k, B at odd k,
 
-    has integer coefficients, so no step reduces a fraction.  ``pair(k)``
-    returns (x'(k), scale(k)) and builds no ``Fraction``; ``table[k]`` builds
-    the one ``Fraction`` of an index k >= 0 through ``_term``, which reduces
-    by the factors of the known scale, the first time it is read, and keeps
-    it.  Index -k is index k of a mirror table at the reflected point
-    (see :func:`reflected`), built on the first negative read; reflecting
-    twice gives back this point, so the mirror is only ever read at k >= 0.
+    has integer coefficients, so no step reduces a fraction.  The walk
+    carries scale(k) next to x'(k): index 0 starts at m0 and index 1 at m,
+    and each step multiplies the scale by lam into an even k and by mu into
+    an odd one.  ``pair(k)`` returns the stored (x'(k), scale(k)) and builds
+    no ``Fraction``; ``table[k]`` builds the ``Fraction`` of an index k >= 0
+    through ``_term``, which reduces by the factors of the known scale, on
+    every read.  Index -k is index k of a mirror table at the reflected
+    point (see :func:`reflected`), built on the first negative read;
+    reflecting twice gives back this point, so the mirror is only ever read
+    at k >= 0.
     """
 
     def __init__(self, p: Params, kind: SequenceKind) -> None:
         self.params, self.kind = p, kind
         self._point = pt = _integer_point(p, kind)
-        self._nums = {0: pt.x0, 1: pt.x1}  # x'(k) for 0 <= k <= hi
-        self._terms: dict[int, Rational] = {}  # built Fractions, at some 0 <= k <= hi
+        # (x'(k), scale(k)) for 0 <= k <= hi
+        self._pairs = {0: (pt.x0, pt.m0), 1: (pt.x1, pt.m)}
         self._hi = 1
         self._mirror: TermTable | None = None
 
     def __getitem__(self, key: int) -> Rational:
-        term = self._terms.get(key)
-        if term is None:
-            if key < 0:
-                return self._reflection()[-key]
-            if key > self._hi:
-                self._extend_up(key)
-            term = self._terms[key] = _term(self._point, key, self._nums[key])
-        return term
+        if key < 0:
+            return self._reflection()[-key]
+        return _term(self._point, key, self.pair(key)[0])
 
     def pair(self, k: int) -> tuple[int, int]:
         """The term at index k as the unreduced pair (N, den) of ints, den > 0.
@@ -314,7 +314,7 @@ class TermTable:
             return self._reflection().pair(-k)
         if k > self._hi:
             self._extend_up(k)
-        return self._nums[k], _scale(self._point, k)
+        return self._pairs[k]
 
     def _reflection(self) -> TermTable:
         mirror = self._mirror
@@ -324,16 +324,18 @@ class TermTable:
         return mirror
 
     def _extend_up(self, n: int) -> None:
-        # Reads the bound once and moves it only after the value at the new
+        # Reads the bound once and moves it only after the pair at the new
         # bound is stored, so every index up to the bound always has its
-        # value.  Two callers extending the same table at once therefore
+        # pair.  Two callers extending the same table at once therefore
         # only rewrite equal values.
-        pt, nums, hi = self._point, self._nums, self._hi
-        even, odd, c = pt.a, pt.b, pt.c
-        prev, cur = nums[hi - 1], nums[hi]
+        pt, pairs, hi = self._point, self._pairs, self._hi
+        even, odd, c, lam, mu = pt.a, pt.b, pt.c, pt.lam, pt.mu
+        prev = pairs[hi - 1][0]
+        cur, den = pairs[hi]
         for k in range(hi + 1, n + 1):
             prev, cur = cur, (odd if k % 2 else even) * cur + c * prev
-            nums[k] = cur
+            den *= mu if k % 2 else lam
+            pairs[k] = cur, den
             self._hi = k
 
 

@@ -42,14 +42,20 @@ parameters come from a fixed grid, numerators in [-5, 5] and denominators in
 The checkers read u, v and w terms from one :class:`~biperiodic.core.TermTable`
 per sequence, held in a one-entry memo keyed by the parameter point.
 ``run_suite`` checks one point per sample, so every check of a sample reads
-the same three tables, and each term is walked once per sample.  The memo
-also holds the point's constants: b/a and a/b (the parity weights (b/a)^e
-and (a/b)^e only take e = 0 or 1, so they are lookups), ab as a pair of
-ints, the discriminant and q = D/a^2.  A point hashes its fields once, on
-the first lookup (see :class:`~biperiodic.core.Params`).  The geometric
-series of :func:`sum_oracle` stays independent of the tables, of the scalar
-closed form and of the fast routes: it multiplies pairs of ints that stand
-for elements of the algebra K generates, with its own helpers, and builds no
+the same three tables, and each term is walked once per sample.  L1, L2
+and the w families run on unreduced ratios num/den of ints, den > 0: they
+read each term as its table's pair (:meth:`~biperiodic.core.TermTable.pair`),
+multiply and add with no gcd, and build the two ``Fraction``s of a report
+once, at the end.  The memo also holds the point's constants as such
+ratios: a, b, c, w0, w1, b/a and a/b (the parity weights (b/a)^e and
+(a/b)^e only take e = 0 or 1, so they are lookups), q = D/a^2 =
+b^2 + 4c(b/a), zero exactly where the discriminant D is, and the w
+invariant w1^2 - b w0 w1 - c (b/a) w0^2; and, for SUM and BINOM, ab as a
+pair of ints.  A point hashes its fields once, on the first lookup (see
+:class:`~biperiodic.core.Params`).  The geometric series of
+:func:`sum_oracle` stays independent of the tables, of the scalar closed
+form and of the fast routes: it multiplies pairs of ints that stand for
+elements of the algebra K generates, with its own helpers, and builds no
 matrix.
 
 A SUM check sums only its own sequence: one direct sum, one
@@ -89,7 +95,6 @@ from .core import (
     Params,
     SequenceKind,
     TermTable,
-    discriminant,
     zeta,
 )
 from .exact import Rational, dataclass_repr, to_text
@@ -191,9 +196,12 @@ class IdentityReport:
         return self.printed_form_value == self.lhs
 
     def to_dict(self) -> dict:
+        return self._payload(_params_dict(self.params))
+
+    def _payload(self, params: dict[str, str]) -> dict:
         payload: dict = {
             "id": str(self.id),
-            "params": _params_dict(self.params),
+            "params": params,
             "indices": dict(self.indices),
             "lhs": to_text(self.lhs),
             "rhs": to_text(self.rhs),
@@ -221,30 +229,84 @@ class SumConstants:
     __repr__ = dataclass_repr
 
 
-_ONE = Fraction(1)
-
-
 def _ints(x: Rational) -> tuple[int, int]:
     return x.numerator, x.denominator
+
+
+class _Ratio:
+    """num/den on ints, den > 0, never reduced: the arithmetic of the checkers.
+
+    Ratios multiply by ratios and by ints, add, subtract, negate and take
+    powers e >= 0 on ints only; no gcd is taken and no ``Fraction`` is built
+    until :func:`_report` reduces each side once.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int = 1) -> None:
+        self.num, self.den = num, den
+
+    def __mul__(self, other: _Ratio | int) -> _Ratio:
+        if type(other) is int:
+            return _Ratio(self.num * other, self.den)
+        return _Ratio(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: _Ratio) -> _Ratio:
+        return _Ratio(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __neg__(self) -> _Ratio:
+        return _Ratio(-self.num, self.den)
+
+    def __sub__(self, other: _Ratio) -> _Ratio:
+        return self + -other
+
+    def __pow__(self, e: int) -> _Ratio:
+        return _Ratio(self.num**e, self.den**e)
+
+
+def _ratio(x: Rational) -> _Ratio:
+    return _Ratio(x.numerator, x.denominator)
+
+
+class _Ratios:
+    """The terms of one table as ratios: ``xs[k]`` is the table's pair at k."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, table: TermTable) -> None:
+        self.pair = table.pair
+
+    def __getitem__(self, k: int) -> _Ratio:
+        return _Ratio(*self.pair(k))
 
 
 class _Point:
     """The term tables and the scalar constants of one parameter point.
 
-    ``ba[e]`` and ``ab[e]`` are (b/a)^e and (a/b)^e for the exponents e = 0
-    and 1, the only ones the parity products of the identities take;
-    ``ab_ints`` is the product ab as (numerator, denominator).
+    ``u``, ``v`` and ``w`` are the tables and ``us``, ``vs`` and ``ws`` their
+    terms as ratios.  The constants are those of the module docstring:
+    ``ba[e]`` and ``ab[e]`` are (b/a)^e and (a/b)^e for e = 0 and 1, and
+    ``w_inv`` is the w invariant; ``ab_ints`` is ab as (numerator,
+    denominator).
     """
 
-    __slots__ = ("u", "v", "w", "ba", "ab", "ab_ints", "disc", "q")
+    __slots__ = (
+        "u", "v", "w", "us", "vs", "ws", "a", "b", "c", "w0", "w1", "ba", "ab", "q", "w_inv",
+        "ab_ints",
+    )
 
     def __init__(self, p: Params) -> None:
         self.u, self.v, self.w = (TermTable(p, kind) for kind in SequenceKind)
-        self.ba = (_ONE, p.b / p.a)
-        self.ab = (_ONE, p.a / p.b)
+        self.us, self.vs, self.ws = (_Ratios(table) for table in (self.u, self.v, self.w))
+        a, b, c, w0, w1 = (_ratio(x) for x in (p.a, p.b, p.c, p.w0, p.w1))
+        self.a, self.b, self.c, self.w0, self.w1 = a, b, c, w0, w1
+        one, ba = _Ratio(1), _ratio(p.b / p.a)
+        self.ba, self.ab = (one, ba), (one, _ratio(p.a / p.b))
+        self.q = b * b + 4 * c * ba
+        self.w_inv = w1 * w1 - b * w0 * w1 - c * ba * w0 * w0
         self.ab_ints = _ints(p.a * p.b)
-        self.disc = discriminant(p)
-        self.q = self.disc / (p.a * p.a)
 
 
 @lru_cache(maxsize=1)
@@ -258,10 +320,11 @@ def _report(
     sub: int | str | None,
     p: Params,
     indices: dict[str, int],
-    lhs: Rational,
-    rhs: Rational,
+    lhs: _Ratio,
+    rhs: _Ratio,
 ) -> IdentityReport:
-    return IdentityReport(IdentityId(family, sub), p, indices, lhs, rhs, lhs == rhs)
+    left, right = Fraction(lhs.num, lhs.den), Fraction(rhs.num, rhs.den)
+    return IdentityReport(IdentityId(family, sub), p, indices, left, right, left == right)
 
 
 def check_u_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
@@ -274,22 +337,22 @@ def check_u_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
     if n < 1 or (sub != 1 and m < 1):
         raise ValueError("indices must be >= 1")
     pt = _tables(p)
-    u, ba = pt.u, pt.ba
+    u, ba = pt.us, pt.ba
     if sub == 1:
         lhs = pt.ab[zeta(n)] * u[n] ** 2 - pt.ab[zeta(n + 1)] * u[n - 1] * u[n + 1]
-        rhs = pt.ab[1] * (-p.c) ** (n - 1)
+        rhs = pt.ab[1] * (-pt.c) ** (n - 1)
         return _report(Family.L1, sub, p, {"n": n}, lhs, rhs)
     if sub == 2:
-        lhs = ba[zeta(m * n + n)] * u[m] * u[n + 1] + ba[zeta(m * n + m)] * p.c * u[n] * u[m - 1]
+        lhs = ba[zeta(m * n + n)] * u[m] * u[n + 1] + ba[zeta(m * n + m)] * pt.c * u[n] * u[m - 1]
         rhs = u[n + m]
     elif sub == 3:
         # exponents from comparing U^n (U^m)^-1 = U^(n-m) entrywise
         lhs = ba[zeta(m * n + m)] * u[n] * u[m + 1] - ba[zeta(m * n + n)] * u[m] * u[n + 1]
-        rhs = (-p.c) ** m * u[n - m]
+        rhs = (-pt.c) ** m * u[n - m]
     else:
         lhs = (
             ba[zeta(m * n + n)] * u[m] * u[n - m + 1]
-            + p.c * ba[zeta(m * n)] * u[m - 1] * u[n - m]
+            + pt.c * ba[zeta(m * n)] * u[m - 1] * u[n - m]
         )
         rhs = u[n]
     return _report(Family.L1, sub, p, {"m": m, "n": n}, lhs, rhs)
@@ -306,12 +369,12 @@ def check_uv_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
     if n < 1 or (sub != 1 and m < 1):
         raise ValueError("indices must be >= 1")
     pt = _tables(p)
-    if pt.disc == 0:
+    if pt.q.num == 0:
         raise DegenerateParametersError("discriminant is zero for these parameters")
-    u, v, q = pt.u, pt.v, pt.q
+    u, v, q = pt.us, pt.vs, pt.q
     if sub == 1:
         lhs = v[n] ** 2 - q * u[n] ** 2
-        rhs = 4 * pt.ba[zeta(n)] * (-p.c) ** n
+        rhs = 4 * pt.ba[zeta(n)] * (-pt.c) ** n
         return _report(Family.L2, sub, p, {"n": n}, lhs, rhs)
     zz = zeta(n) * zeta(m)
     if sub == 2:
@@ -322,22 +385,17 @@ def check_uv_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
         rhs = 2 * pt.ba[zz] * u[n + m]
     elif sub == 4:
         lhs = v[m] * v[n] - q * u[m] * u[n]
-        rhs = 2 * (-p.c) ** m * pt.ba[zz] * v[n - m]
+        rhs = 2 * (-pt.c) ** m * pt.ba[zz] * v[n - m]
     elif sub == 5:
         lhs = u[n] * v[m] - u[m] * v[n]
-        rhs = 2 * (-p.c) ** m * pt.ba[zz] * u[n - m]
+        rhs = 2 * (-pt.c) ** m * pt.ba[zz] * u[n - m]
     elif sub == 6:
-        lhs = v[n + m] + (-p.c) ** m * v[n - m]
+        lhs = v[n + m] + (-pt.c) ** m * v[n - m]
         rhs = pt.ab[zz] * v[m] * v[n]
     else:
-        lhs = u[n + m] + (-p.c) ** m * u[n - m]
+        lhs = u[n + m] + (-pt.c) ** m * u[n - m]
         rhs = pt.ab[zz] * u[n] * v[m]
     return _report(Family.L2, sub, p, {"m": m, "n": n}, lhs, rhs)
-
-
-def _w_invariant(p: Params) -> Rational:
-    """The initial-value quadratic w1^2 - b w0 w1 - c (b/a) w0^2."""
-    return p.w1 * p.w1 - p.b * p.w0 * p.w1 - p.c * (p.b / p.a) * p.w0 * p.w0
 
 
 def check_cassini(p: Params, n: int) -> IdentityReport:
@@ -345,9 +403,9 @@ def check_cassini(p: Params, n: int) -> IdentityReport:
     if n < 1:
         raise ValueError("n must be >= 1")
     pt = _tables(p)
-    w, ba = pt.w, pt.ba
+    w, ba = pt.ws, pt.ba
     lhs = ba[zeta(n)] * w[n - 1] * w[n + 1] - ba[zeta(n + 1)] * w[n] ** 2
-    rhs = (-1) ** n * p.c ** (n - 1) * _w_invariant(p)
+    rhs = (-1) ** n * pt.c ** (n - 1) * pt.w_inv
     return _report(Family.CASSINI_W, None, p, {"n": n}, lhs, rhs)
 
 
@@ -356,11 +414,11 @@ def check_addition(p: Params, n: int, q: int) -> IdentityReport:
     if n < 1 or q < 1:
         raise ValueError("indices must be >= 1")
     pt = _tables(p)
-    u, w, ba = pt.u, pt.w, pt.ba
+    u, w, ba = pt.us, pt.ws, pt.ba
     lhs = w[n + q]
     rhs = (
         ba[zeta(n + 1) * zeta(q)] * u[n] * w[q + 1]
-        + p.c * ba[zeta(n) * zeta(q + 1)] * u[n - 1] * w[q]
+        + pt.c * ba[zeta(n) * zeta(q + 1)] * u[n - 1] * w[q]
     )
     return _report(Family.ADDITION, None, p, {"n": n, "q": q}, lhs, rhs)
 
@@ -370,10 +428,10 @@ def check_catalan(p: Params, n: int, pp: int, q: int) -> IdentityReport:
     if n < 1 or pp < 1 or q < 1:
         raise ValueError("indices must be >= 1")
     pt = _tables(p)
-    u, w, ba = pt.u, pt.w, pt.ba
+    u, w, ba = pt.us, pt.ws, pt.ba
     zpq = zeta(pp) * zeta(q)
     lhs = ba[zeta(n) * zpq] * w[n + pp] * w[n + q] - ba[zeta(n + 1) * zpq] * w[n] * w[n + pp + q]
-    rhs = ba[zeta(n) * zeta(pp + 1) * zeta(q + 1)] * (-p.c) ** n * u[pp] * u[q] * _w_invariant(p)
+    rhs = ba[zeta(n) * zeta(pp + 1) * zeta(q + 1)] * (-pt.c) ** n * u[pp] * u[q] * pt.w_inv
     return _report(Family.CATALAN, None, p, {"n": n, "pp": pp, "q": q}, lhs, rhs)
 
 
@@ -382,9 +440,9 @@ def check_product_sum(p: Params, m: int, n: int) -> IdentityReport:
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
     pt = _tables(p)
-    w, ba = pt.w, pt.ba
-    lhs = ba[zeta(m * n + n)] * w[n + 1] * w[m] + ba[zeta(m * n + m)] * p.c * w[n] * w[m - 1]
-    rhs = p.w1 * w[m + n] + ba[zeta(m + n)] * p.c * p.w0 * w[m + n - 1]
+    w, ba = pt.ws, pt.ba
+    lhs = ba[zeta(m * n + n)] * w[n + 1] * w[m] + ba[zeta(m * n + m)] * pt.c * w[n] * w[m - 1]
+    rhs = pt.w1 * w[m + n] + ba[zeta(m + n)] * pt.c * pt.w0 * w[m + n - 1]
     return _report(Family.PRODSUM, None, p, {"m": m, "n": n}, lhs, rhs)
 
 
@@ -393,9 +451,9 @@ def check_square_sum(p: Params, n: int) -> IdentityReport:
     if n < 1:
         raise ValueError("n must be >= 1")
     pt = _tables(p)
-    w, ba = pt.w, pt.ba
-    lhs = ba[zeta(n)] * w[n + 1] ** 2 + ba[zeta(n + 1)] * p.c * w[n] ** 2
-    rhs = p.w1 * w[2 * n + 1] + ba[1] * p.c * p.w0 * w[2 * n]
+    w, ba = pt.ws, pt.ba
+    lhs = ba[zeta(n)] * w[n + 1] ** 2 + ba[zeta(n + 1)] * pt.c * w[n] ** 2
+    rhs = pt.w1 * w[2 * n + 1] + ba[1] * pt.c * pt.w0 * w[2 * n]
     return _report(Family.COR31, None, p, {"n": n}, lhs, rhs)
 
 
@@ -403,9 +461,10 @@ def check_square_difference(p: Params, n: int) -> IdentityReport:
     """Difference-of-squares companion of COR31; n >= 1 (family T34)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    w = _tables(p).w
-    lhs = w[n + 1] ** 2 - p.c * p.c * w[n - 1] ** 2
-    rhs = p.a ** zeta(n) * p.b ** zeta(n + 1) * (p.w1 * w[2 * n] + p.c * p.w0 * w[2 * n - 1])
+    pt = _tables(p)
+    w = pt.ws
+    lhs = w[n + 1] ** 2 - pt.c * pt.c * w[n - 1] ** 2
+    rhs = pt.a ** zeta(n) * pt.b ** zeta(n + 1) * (pt.w1 * w[2 * n] + pt.c * pt.w0 * w[2 * n - 1])
     return _report(Family.T34, None, p, {"n": n}, lhs, rhs)
 
 
@@ -685,8 +744,10 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
     terms = [(i + r, math.comb(n, i) * head_i * tails[n - i]) for i, head_i in enumerate(heads)]
     num, den = _y_sum(p, xs, shift, terms)
     weight = (p.a * p.b) ** (target // 2) * p.a ** (zeta(target) + shift)
-    rhs = Fraction(num, den * d**n) / weight
-    return _report(Family.BINOM, seq, p, {"m": m, "n": n, "r": r}, xs[target], rhs)
+    lhs, rhs = xs[target], Fraction(num, den * d**n) / weight
+    return IdentityReport(
+        IdentityId(Family.BINOM, seq), p, {"m": m, "n": n, "r": r}, lhs, rhs, lhs == rhs
+    )
 
 
 _GRID_BOUND = 5  # parameter draws: numerators in [-5, 5], denominators in [1, 5]
@@ -721,12 +782,10 @@ class SkipRecord:
     params: Params
 
     def to_dict(self) -> dict:
-        return {
-            "id": str(self.id),
-            "sample": self.sample,
-            "reason": self.reason,
-            "params": _params_dict(self.params),
-        }
+        return self._payload(_params_dict(self.params))
+
+    def _payload(self, params: dict[str, str]) -> dict:
+        return {"id": str(self.id), "sample": self.sample, "reason": self.reason, "params": params}
 
 
 @dataclass
@@ -742,12 +801,27 @@ class SuiteSummary:
     failed: int = 0
 
     def to_dict(self) -> dict:
+        """The summary as plain data; the records of one point share one params dict.
+
+        Each point's parameters are rendered once, keyed by the identity of
+        its ``Params`` object: the records hold every such object alive
+        while this runs, so no two of them share an id, and the lookup
+        compares no ``Fraction``.
+        """
+        rendered: dict[int, dict[str, str]] = {}
+
+        def params(p: Params) -> dict[str, str]:
+            text = rendered.get(id(p))
+            if text is None:
+                text = rendered[id(p)] = _params_dict(p)
+            return text
+
         return {
             "suite": "+".join(f.value for f in self.families),
             "seed": self.seed,
             "samples": self.samples,
-            "results": [r.to_dict() for r in self.results],
-            "skipped": [s.to_dict() for s in self.skipped],
+            "results": [r._payload(params(r.params)) for r in self.results],
+            "skipped": [s._payload(params(s.params)) for s in self.skipped],
             "passed": self.passed,
             "failed": self.failed,
         }

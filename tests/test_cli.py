@@ -281,6 +281,32 @@ class TestVerify:
         assert main(["verify", "--samples", "1", "--max-index", str(cap + 1)]) == 2
         assert "refusing --max-index" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("excess", [1, 10**8])
+    def test_sample_cap_exit_2(
+        self, excess: int, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        monkeypatch.setattr(cli, "run_suite", refuse_work)
+        samples = cli._VERIFY_SAMPLE_CAP + excess
+        assert main(["verify", "--samples", str(samples), "--max-index", "1"]) == 2
+        assert "refusing --samples" in capsys.readouterr().err
+
+    def test_sample_cap_itself_runs_and_is_in_help(
+        self, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        real, seen = cli.run_suite, []
+
+        def one_sample(config: identities.SuiteConfig) -> identities.SuiteSummary:
+            seen.append(config.samples)
+            return real(dataclasses.replace(config, samples=1))
+
+        monkeypatch.setattr(cli, "run_suite", one_sample)
+        cap = cli._VERIFY_SAMPLE_CAP
+        assert main(["verify", "--suite", "l1", "--samples", str(cap), "--max-index", "1"]) == 0
+        assert seen == [cap]
+        capsys.readouterr()
+        assert main(["verify", "--help"]) == 0
+        assert f"(default 100, at most {cap})" in " ".join(capsys.readouterr().out.split())
+
     def test_failure_exits_1(self, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]) -> None:
         real = cli.run_suite
 

@@ -287,6 +287,22 @@ class TestTermTable:
             for k in range(64):
                 assert pairs[k + 1][1] % pairs[k][1] == 0
 
+    @pytest.mark.parametrize(
+        "p",
+        [Params(1, 1, 1, 0, 1), P_STAR, Params("1/2", 3, "-2/5", "1/3", 2)],
+        ids=["fibonacci", "pstar", "rational"],
+    )
+    def test_carried_scale_is_the_scale(self, p: Params) -> None:
+        for kind in SequenceKind:
+            point, mirror = _integer_point(p, kind), _integer_point(reflected(p, kind), W)
+            table = TermTable(p, kind)
+            for k in range(201):
+                assert table.pair(k)[1] == _scale(point, k), (kind, k)
+            for k in range(1, 201):
+                assert table.pair(-k)[1] == _scale(mirror, k), (kind, -k)
+        # the rational point's W initial pair has a denominator M > 1
+        assert _integer_point(Params("1/2", 3, "-2/5", "1/3", 2), W).m0 > 1
+
     @settings(max_examples=15, deadline=None)
     @given(p=shared_points, picks=st.lists(st.integers(-64, 700), max_size=6))
     def test_integer_walk_matches_naive(self, p: Params, picks: list[int]) -> None:

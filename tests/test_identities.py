@@ -65,6 +65,10 @@ def small_indices(lo: int = 1, hi: int = 6) -> st.SearchStrategy[int]:
 nonzero_rationals = st.fractions(-4, 4, max_denominator=6).filter(bool)
 # run_suite's parameter grid: numerators in [-5, 5], denominators in [1, 5]
 grid_nonzero = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 5))
+grid_any = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5))
+grid_points = st.builds(Params, grid_nonzero, grid_nonzero, grid_nonzero, grid_any, grid_any)
+# w0 and mu*w1 have different denominators here, so the W scale has M > 1
+RATIONAL_W = Params(Fraction(1, 2), 3, Fraction(-2, 5), Fraction(1, 3), 2)
 
 
 def matrix_series_oracle(p: Params, m: int, n: int, r: int) -> tuple[Fraction, Fraction]:
@@ -146,6 +150,103 @@ def fraction_sum_closed(
     if u_sum is None:
         return None
     return u_sum, fraction_closed_sum(p, v, 0, m, n, r, consts, corrected)
+
+
+# The Fraction forms of the L1, L2 and w checkers, the references for their
+# int forms: each reads Fraction terms from fresh tables and returns (lhs, rhs).
+
+
+def fraction_weights(p: Params) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """(b/a)^e and (a/b)^e for e = 0 and 1."""
+    return (Fraction(1), p.b / p.a), (Fraction(1), p.a / p.b)
+
+
+def fraction_w_invariant(p: Params) -> Fraction:
+    return p.w1 * p.w1 - p.b * p.w0 * p.w1 - p.c * (p.b / p.a) * p.w0 * p.w0
+
+
+def fraction_u_identity(p: Params, sub: int, m: int, n: int) -> tuple[Fraction, Fraction]:
+    u = TermTable(p, SequenceKind.U)
+    ba, ab = fraction_weights(p)
+    if sub == 1:
+        lhs = ab[zeta(n)] * u[n] ** 2 - ab[zeta(n + 1)] * u[n - 1] * u[n + 1]
+        return lhs, ab[1] * (-p.c) ** (n - 1)
+    if sub == 2:
+        lhs = ba[zeta(m * n + n)] * u[m] * u[n + 1] + ba[zeta(m * n + m)] * p.c * u[n] * u[m - 1]
+        return lhs, u[n + m]
+    if sub == 3:
+        lhs = ba[zeta(m * n + m)] * u[n] * u[m + 1] - ba[zeta(m * n + n)] * u[m] * u[n + 1]
+        return lhs, (-p.c) ** m * u[n - m]
+    lhs = ba[zeta(m * n + n)] * u[m] * u[n - m + 1] + p.c * ba[zeta(m * n)] * u[m - 1] * u[n - m]
+    return lhs, u[n]
+
+
+def fraction_uv_identity(p: Params, sub: int, m: int, n: int) -> tuple[Fraction, Fraction]:
+    if discriminant(p) == 0:
+        raise DegenerateParametersError("discriminant is zero for these parameters")
+    u, v = TermTable(p, SequenceKind.U), TermTable(p, SequenceKind.V)
+    ba, ab = fraction_weights(p)
+    q = discriminant(p) / (p.a * p.a)
+    if sub == 1:
+        return v[n] ** 2 - q * u[n] ** 2, 4 * ba[zeta(n)] * (-p.c) ** n
+    zz = zeta(n) * zeta(m)
+    if sub == 2:
+        return v[m] * v[n] + q * u[m] * u[n], 2 * ba[zz] * v[n + m]
+    if sub == 3:
+        return u[m] * v[n] + u[n] * v[m], 2 * ba[zz] * u[n + m]
+    if sub == 4:
+        return v[m] * v[n] - q * u[m] * u[n], 2 * (-p.c) ** m * ba[zz] * v[n - m]
+    if sub == 5:
+        return u[n] * v[m] - u[m] * v[n], 2 * (-p.c) ** m * ba[zz] * u[n - m]
+    if sub == 6:
+        return v[n + m] + (-p.c) ** m * v[n - m], ab[zz] * v[m] * v[n]
+    return u[n + m] + (-p.c) ** m * u[n - m], ab[zz] * u[n] * v[m]
+
+
+def fraction_cassini(p: Params, n: int) -> tuple[Fraction, Fraction]:
+    w = TermTable(p, SequenceKind.W)
+    ba, _ = fraction_weights(p)
+    lhs = ba[zeta(n)] * w[n - 1] * w[n + 1] - ba[zeta(n + 1)] * w[n] ** 2
+    return lhs, (-1) ** n * p.c ** (n - 1) * fraction_w_invariant(p)
+
+
+def fraction_addition(p: Params, n: int, q: int) -> tuple[Fraction, Fraction]:
+    u, w = TermTable(p, SequenceKind.U), TermTable(p, SequenceKind.W)
+    ba, _ = fraction_weights(p)
+    rhs = (
+        ba[zeta(n + 1) * zeta(q)] * u[n] * w[q + 1]
+        + p.c * ba[zeta(n) * zeta(q + 1)] * u[n - 1] * w[q]
+    )
+    return w[n + q], rhs
+
+
+def fraction_catalan(p: Params, n: int, pp: int, q: int) -> tuple[Fraction, Fraction]:
+    u, w = TermTable(p, SequenceKind.U), TermTable(p, SequenceKind.W)
+    ba, _ = fraction_weights(p)
+    zpq = zeta(pp) * zeta(q)
+    lhs = ba[zeta(n) * zpq] * w[n + pp] * w[n + q] - ba[zeta(n + 1) * zpq] * w[n] * w[n + pp + q]
+    weight = ba[zeta(n) * zeta(pp + 1) * zeta(q + 1)]
+    return lhs, weight * (-p.c) ** n * u[pp] * u[q] * fraction_w_invariant(p)
+
+
+def fraction_product_sum(p: Params, m: int, n: int) -> tuple[Fraction, Fraction]:
+    w = TermTable(p, SequenceKind.W)
+    ba, _ = fraction_weights(p)
+    lhs = ba[zeta(m * n + n)] * w[n + 1] * w[m] + ba[zeta(m * n + m)] * p.c * w[n] * w[m - 1]
+    return lhs, p.w1 * w[m + n] + ba[zeta(m + n)] * p.c * p.w0 * w[m + n - 1]
+
+
+def fraction_square_sum(p: Params, n: int) -> tuple[Fraction, Fraction]:
+    w = TermTable(p, SequenceKind.W)
+    ba, _ = fraction_weights(p)
+    lhs = ba[zeta(n)] * w[n + 1] ** 2 + ba[zeta(n + 1)] * p.c * w[n] ** 2
+    return lhs, p.w1 * w[2 * n + 1] + ba[1] * p.c * p.w0 * w[2 * n]
+
+
+def fraction_square_difference(p: Params, n: int) -> tuple[Fraction, Fraction]:
+    w = TermTable(p, SequenceKind.W)
+    lhs = w[n + 1] ** 2 - p.c * p.c * w[n - 1] ** 2
+    return lhs, p.a ** zeta(n) * p.b ** zeta(n + 1) * (p.w1 * w[2 * n] + p.c * p.w0 * w[2 * n - 1])
 
 
 class TestIdentityId:
@@ -281,6 +382,55 @@ class TestQuadraticFamilies:
             assert check_product_sum(p, rng.randint(1, 6), n).passed
             assert check_square_sum(p, n).passed
             assert check_square_difference(p, n).passed
+
+
+# Every converted sub-identity: its checker, its Fraction reference, the value
+# of its sub-identity argument (None where it takes none) and its index names.
+CONVERTED = [
+    *((check_u_identity, fraction_u_identity, sub, ("m", "n")) for sub in (1, 2, 3, 4)),
+    *((check_uv_identity, fraction_uv_identity, sub, ("m", "n")) for sub in range(1, 8)),
+    (check_cassini, fraction_cassini, None, ("n",)),
+    (check_addition, fraction_addition, None, ("n", "q")),
+    (check_catalan, fraction_catalan, None, ("n", "pp", "q")),
+    (check_product_sum, fraction_product_sum, None, ("m", "n")),
+    (check_square_sum, fraction_square_sum, None, ("n",)),
+    (check_square_difference, fraction_square_difference, None, ("n",)),
+]
+
+
+class TestIntCheckers:
+    """The ratio forms of L1, L2 and the w families against their Fraction forms."""
+
+    @given(p=grid_points, m=st.integers(1, 24), n=st.integers(1, 24), q=st.integers(1, 24))
+    @example(p=DEGENERATE, m=3, n=5, q=2)
+    # m > n: L1.3, L2.4 and L2.5 read u and v at n - m < 0
+    @example(p=RATIONAL_W, m=24, n=1, q=24)
+    @example(p=P_STAR, m=5, n=2, q=3)
+    def test_reports_equal_the_fraction_sides(self, p: Params, m: int, n: int, q: int) -> None:
+        values = {"m": m, "n": n, "pp": m, "q": q}
+        for check, reference, sub, names in CONVERTED:
+            args = (*(() if sub is None else (sub,)), *(values[name] for name in names))
+            try:
+                lhs, rhs = reference(p, *args)
+                expected: tuple = (lhs, rhs, True)
+            except DegenerateParametersError as exc:
+                expected = type(exc), str(exc)
+            try:
+                report = check(p, *args)
+                got: tuple = (report.lhs, report.rhs, report.passed)
+            except DegenerateParametersError as exc:
+                got = type(exc), str(exc)
+            assert got == expected, (check.__name__, sub, args)
+        if m > n:
+            pt = _tables(p)
+            assert pt.u._mirror is not None
+            assert (pt.v._mirror is not None) == (discriminant(p) != 0)
+
+    @pytest.mark.parametrize("sub", range(1, 8))
+    def test_zero_discriminant_still_raises(self, sub: int) -> None:
+        assert discriminant(DEGENERATE) == 0
+        with pytest.raises(DegenerateParametersError, match="discriminant is zero"):
+            check_uv_identity(DEGENERATE, sub, 2, 3)
 
 
 class TestPartialSums:
@@ -574,7 +724,7 @@ class TestRunSuite:
     def test_sample_order_within_each_identity(self) -> None:
         # the sort by identity alone must keep each identity's reports and
         # skips in the order of the samples that made them
-        points = (P_STAR, DEGENERATE, Params(Fraction(1, 2), 3, Fraction(-2, 5), Fraction(1, 3), 2))
+        points = (P_STAR, DEGENERATE, RATIONAL_W)
         summary = run_suite(SuiteConfig(samples=7, seed=6, params=points))
         skipped_at: dict[IdentityId, list[int]] = {}
         for record in summary.skipped:
@@ -641,6 +791,21 @@ class TestRunSuite:
         tiny_a = Params(Fraction(1, 10**5000), 1, 1)
         skip = SkipRecord(IdentityId(Family.L2, 1), 0, "reason", tiny_a)
         assert skip.to_dict()["params"]["a"] == "1/1" + "0" * 5000
+
+    def test_records_of_one_point_share_one_params_dict(self) -> None:
+        points = (P_STAR, DEGENERATE, RATIONAL_W)
+        summary = run_suite(SuiteConfig(samples=7, seed=6, params=points))
+        payload = summary.to_dict()
+        assert payload["skipped"]
+        records = [*summary.results, *summary.skipped]
+        rows = [*payload["results"], *payload["skipped"]]
+        shared: dict[int, dict] = {}
+        for record, row in zip(records, rows, strict=True):
+            # each record renders the same payload on its own
+            assert row == record.to_dict()
+            assert shared.setdefault(id(record.params), row["params"]) is row["params"]
+        assert len(shared) == len(points)
+        assert len({id(text) for text in shared.values()}) == len(points)
 
     def test_invalid_samples_rejected(self) -> None:
         with pytest.raises(ValueError):
