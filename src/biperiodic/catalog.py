@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import Params, SequenceKind
 from .exact import Rational, parse_rational
@@ -70,12 +71,18 @@ class CatalogEntry:
                 f"({', '.join(self.arg_names) or 'none'}), got {len(args)}"
             )
         values = dict(zip(self.arg_names, args))
-        resolved = tuple(
-            values[slot] if slot in values else parse_rational(slot)
-            for slot in self.slots
+        w0, w1, a, b, c = (
+            values[slot] if literal is None else literal
+            for slot, literal in zip(self.slots, self._literals)
         )
-        w0, w1, a, b, c = resolved
         return Params(a, b, c, w0, w1)
+
+    @cached_property
+    def _literals(self) -> tuple[Rational | None, ...]:
+        """Each slot's value if it is a literal, else None, parsed on first use."""
+        return tuple(
+            None if slot in self.arg_names else parse_rational(slot) for slot in self.slots
+        )
 
 
 _ENTRIES: tuple[CatalogEntry, ...] = (

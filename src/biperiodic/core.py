@@ -232,6 +232,40 @@ def _integer_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
     return _IntegerPoint(lam, mu, mu * big_m, big_m, a, b, c, x0, x1)
 
 
+def _reflected_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
+    """``_integer_point(reflected(p, kind), W)``, derived on ints from p's fractions.
+
+    The reflected point (-a/c, -b/c, 1/c) with initial pair (x0, (x1 - b x0) / c)
+    of :func:`reflected` is reduced here from the numerators and denominators
+    of p by one gcd per value, with c's sign moved into its numerator first,
+    and no ``Fraction`` or ``Params`` is built.
+    """
+    an, ad, bn, bd = p.a.numerator, p.a.denominator, p.b.numerator, p.b.denominator
+    cn, cd = p.c.numerator, p.c.denominator
+    if cn < 0:  # 1/c = cd/cn with cn > 0
+        cn, cd = -cn, -cd
+    g, h = math.gcd(an, cn), math.gcd(cd, ad)
+    lam, a = ad // h * (cn // g), -(an // g) * (cd // h)
+    g, h = math.gcd(bn, cn), math.gcd(cd, bd)
+    b_den = bd // h * (cn // g)
+    mu = math.lcm(b_den, cn // math.gcd(cn, lam))
+    b, c = -(bn // g) * (cd // h) * (mu // b_den), cd * (lam * mu // cn)
+    if kind is SequenceKind.U:
+        x0n, x0d, x1n, x1d = 0, 1, 1, 1
+    elif kind is SequenceKind.V:
+        x0n, x0d, x1n, x1d = 2, 1, bn, bd
+    else:
+        x0n, x0d, x1n, x1d = p.w0.numerator, p.w0.denominator, p.w1.numerator, p.w1.denominator
+    # mu times the reflected x1, (x1 - b x0) / c, in lowest terms
+    num, den = mu * cd * (x1n * x0d * bd - bn * x0n * x1d), x1d * x0d * bd * cn
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    big_m = math.lcm(x0d, den)
+    return _IntegerPoint(
+        lam, mu, mu * big_m, big_m, a, b, c, x0n * (big_m // x0d), num * (big_m // den)
+    )
+
+
 def _scale(pt: _IntegerPoint, k: int) -> int:
     """The denominator x'(k) carries at index k >= 0, so x(k) = x'(k) / _scale(pt, k).
 
@@ -283,15 +317,19 @@ class TermTable:
     an odd one.  ``pair(k)`` returns the stored (x'(k), scale(k)) and builds
     no ``Fraction``; ``table[k]`` builds the ``Fraction`` of an index k >= 0
     through ``_term``, which reduces by the factors of the known scale, on
-    every read.  Index -k is index k of a mirror table at the reflected
-    point (see :func:`reflected`), built on the first negative read;
-    reflecting twice gives back this point, so the mirror is only ever read
-    at k >= 0.
+    every read.  Index -k is index k of a mirror table, built on the first
+    negative read, that holds only the integer point of kind W at the
+    reflected point (see :func:`reflected`), derived on ints by
+    ``_reflected_point``; reflecting twice gives back this point, so the
+    mirror is only ever read at k >= 0.
     """
 
     def __init__(self, p: Params, kind: SequenceKind) -> None:
         self.params, self.kind = p, kind
-        self._point = pt = _integer_point(p, kind)
+        self._walk_from(_integer_point(p, kind))
+
+    def _walk_from(self, pt: _IntegerPoint) -> None:
+        self._point = pt
         # (x'(k), scale(k)) for 0 <= k <= hi
         self._pairs = {0: (pt.x0, pt.m0), 1: (pt.x1, pt.m)}
         self._hi = 1
@@ -320,7 +358,9 @@ class TermTable:
         mirror = self._mirror
         if mirror is None:
             # two threads may each build one; both hold equal values
-            mirror = self._mirror = TermTable(reflected(self.params, self.kind), SequenceKind.W)
+            mirror = object.__new__(TermTable)
+            mirror._walk_from(_reflected_point(self.params, self.kind))
+            self._mirror = mirror
         return mirror
 
     def _extend_up(self, n: int) -> None:

@@ -18,8 +18,10 @@ base, each linear in the size of the result, and never runs the general
 gcd of the public ``Fraction`` constructor, which is quadratic in that size
 and would be most of the cost of a large term at a rational point.  A
 negative index -n is index n of kind W at the reflected point (-a/c, -b/c,
-1/c) of :func:`biperiodic.core.reflected`, so the routes only ever evaluate
-n >= 1, and a counter passed at -n counts that reflected walk.
+1/c) of :func:`biperiodic.core.reflected`, whose integer point
+``core._reflected_point`` derives on ints from the point's numerators and
+denominators, with no reflected ``Params`` built.  So the routes only ever
+evaluate n >= 1, and a counter passed at -n counts that reflected walk.
 
 Both must agree with the oracle exactly, on every input; the test suite
 enforces the three-way agreement.  The backward recurrence of
@@ -31,8 +33,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import Params, SequenceKind, initial_pair, reflected, term_naive
-from .core import _integer_point, _IntegerPoint, _term
+from .core import Params, SequenceKind, initial_pair, term_naive
+from .core import _integer_point, _IntegerPoint, _reflected_point, _term
 from .exact import OpCounter, Rational
 
 __all__ = [
@@ -132,14 +134,12 @@ def term_doubling(
 
     x'(n) for n >= 1 combines u'(n-1) and u'(n), which come from ``_u_pair``
     on ints at the integer point, and the result is one Fraction (see the
-    module docstring).  A negative index is the same route at the reflected
-    point.
+    module docstring).  A negative index is the same route at the integer
+    point of the reflected point, from ``_reflected_point``.
     """
     if n == 0:
         return initial_pair(p, kind)[0]
-    if n < 0:
-        p, kind, n = reflected(p, kind), SequenceKind.W, -n
-    pt = _integer_point(p, kind)
+    pt, n = (_reflected_point(p, kind), -n) if n < 0 else (_integer_point(p, kind), n)
     return _term(pt, n, _from_u(pt, n, *_u_pair(pt, n - 1, counter), counter))
 
 
@@ -166,13 +166,12 @@ def term_matrix(
     P^(e mod 2), so x'(n) is that row of P^h times the column
     P^h P^(e mod 2) (x'(2), x'(1)), two half-size products where a full
     square would take five.  The result is one Fraction (see the module
-    docstring).  A negative index is the same route at the reflected point.
+    docstring).  A negative index is the same route at the integer point of
+    the reflected point, from ``_reflected_point``.
     """
     if n == 0:
         return initial_pair(p, kind)[0]
-    if n < 0:
-        p, kind, n = reflected(p, kind), SequenceKind.W, -n
-    pt = _integer_point(p, kind)
+    pt, n = (_reflected_point(p, kind), -n) if n < 0 else (_integer_point(p, kind), n)
     a, b, c, x0, x1 = pt.a, pt.b, pt.c, pt.x0, pt.x1
     x2 = a * x1 + c * x0
     ab_c, ac = a * b + c, a * c

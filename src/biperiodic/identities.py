@@ -98,6 +98,7 @@ from .core import (
     zeta,
 )
 from .exact import Rational, dataclass_repr, to_text
+from .exact import _coprime_fraction
 
 __all__ = [
     "Family",
@@ -270,6 +271,11 @@ def _ratio(x: Rational) -> _Ratio:
     return _Ratio(x.numerator, x.denominator)
 
 
+def _reduced(x: _Ratio) -> Rational:
+    g = math.gcd(x.num, x.den)
+    return _coprime_fraction(x.num // g, x.den // g)
+
+
 class _Ratios:
     """The terms of one table as ratios: ``xs[k]`` is the table's pair at k."""
 
@@ -323,7 +329,7 @@ def _report(
     lhs: _Ratio,
     rhs: _Ratio,
 ) -> IdentityReport:
-    left, right = Fraction(lhs.num, lhs.den), Fraction(rhs.num, rhs.den)
+    left, right = _reduced(lhs), _reduced(rhs)
     return IdentityReport(IdentityId(family, sub), p, indices, left, right, left == right)
 
 

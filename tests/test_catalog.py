@@ -12,7 +12,8 @@ from biperiodic.catalog import (
     extra_entries,
     lookup,
 )
-from biperiodic.core import SequenceKind, term_range
+from biperiodic.core import Params, SequenceKind, term_range
+from biperiodic.exact import parse_rational
 
 
 def classical(p: int, q: int, x0: int, x1: int, count: int) -> list[Fraction]:
@@ -143,3 +144,43 @@ class TestEntries:
             seq = lookup(entry.key)
             assert isinstance(seq, NamedSequence)
             assert seq.kind is SequenceKind.W
+
+    @pytest.mark.parametrize("entry", entries() + extra_entries(), ids=lambda e: e.key)
+    def test_lookup_matches_parsed_slots(self, entry: CatalogEntry) -> None:
+        # every slot parsed afresh, literal or argument, is the point lookup builds
+        samples = ("3", "-2/5", "1/3", "7")
+        for args in (samples, samples[::-1]):
+            values = dict(zip(entry.arg_names, args))
+            name = entry.key if not entry.arg_names else f"{entry.key}({','.join(values.values())})"
+            w0, w1, a, b, c = (parse_rational(values.get(slot, slot)) for slot in entry.slots)
+            for _ in range(2):  # a first and a repeated lookup
+                seq = lookup(name)
+                assert seq.params == Params(a, b, c, w0, w1)
+                assert (seq.name, seq.display_name, seq.kind) == (name, entry.display_name, entry.kind)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("k-fibonacci(1,2)", "'k-fibonacci' takes 1 argument(s) (k), got 2"),
+            ("fibonacci(3)", "'fibonacci' takes 0 argument(s) (none), got 1"),
+            ("biperiodic-fibonacci", "'biperiodic-fibonacci' takes 2 argument(s) (a, b), got 0"),
+            (
+                "k-fibonacci(0.5)",
+                "bad argument in 'k-fibonacci(0.5)': not an exact rational literal: '0.5'"
+                " (write 'p' or 'p/q', no decimals)",
+            ),
+            (
+                "k-fibonacci(1/0)",
+                "bad argument in 'k-fibonacci(1/0)': zero denominator in rational literal '1/0'",
+            ),
+            (
+                "horadam(1,2,3,0)",
+                "cannot instantiate 'horadam(1,2,3,0)': parameters a, b, c must all be nonzero",
+            ),
+        ],
+    )
+    def test_error_messages(self, name: str, message: str) -> None:
+        for _ in range(2):  # before and after the entry's literals are parsed
+            with pytest.raises(UnknownSequenceError) as exc:
+                lookup(name)
+            assert str(exc.value) == message

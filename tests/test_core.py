@@ -6,7 +6,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biperiodic import identities
@@ -17,6 +17,7 @@ from biperiodic.core import (
     TermTable,
     _integer_point,
     _IntegerPoint,
+    _reflected_point,
     _scale,
     _term,
     chi,
@@ -209,6 +210,30 @@ class TestReflections:
         mirror = reflected(p, kind)
         assert reflected(mirror, W) == Params(p.a, p.b, p.c, *initial_pair(p, kind))
         assert TermTable(mirror, W)[k] == term_naive(p, kind, -k)
+
+    @settings(max_examples=300)
+    @given(p=st.one_of(points, shared_points), kind=st.sampled_from(SequenceKind))
+    # c < 0 with |numerator| > 1
+    @example(p=Params("1/2", 3, "-2/5", "1/3", 2), kind=W)
+    @example(p=Params(6, "9/4", "-10/3", "1/3", 2), kind=V)
+    # x1 - b x0 = 0, so the reflected x1 is 0
+    @example(p=Params(2, 3, 5, 1, 3), kind=W)
+    @example(p=Params("1/2", "-3/4", "-6", "4/5", "-3/5"), kind=W)
+    # w0 and w1 with denominators coprime to those of a, b and c
+    @example(p=Params("1/2", "3/5", "-4/3", "2/7", "5/11"), kind=W)
+    def test_reflected_integer_point(self, p: Params, kind: SequenceKind) -> None:
+        # the int derivation is the integer point of the stated reflection
+        got, want = _reflected_point(p, kind), _integer_point(reflected(p, kind), W)
+        for slot in _IntegerPoint.__slots__:
+            assert getattr(got, slot) == getattr(want, slot), slot
+            assert type(getattr(got, slot)) is int, slot
+
+    @pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda kind: kind.value)
+    def test_mirror_table_at_the_rational_point(self, kind: SequenceKind) -> None:
+        p = Params("1/2", 3, "-2/5", "1/3", 2)
+        table = TermTable(p, kind)
+        for k in range(-1, -41, -1):
+            assert table[k] == term_naive(p, kind, k), k
 
 
 class TestKindBridges:
