@@ -138,13 +138,22 @@ def chi(p: Params, n: int) -> Rational:
     return p.a if n % 2 == 0 else p.b
 
 
+def _kind_error(kind: object) -> TypeError:
+    return TypeError(f"kind must be a SequenceKind (U, V or W), not {kind!r}")
+
+
 def initial_pair(p: Params, kind: SequenceKind) -> tuple[Rational, Rational]:
-    """Terms at indices 0 and 1 for the given initial-value convention."""
+    """Terms at indices 0 and 1 for the given initial-value convention.
+
+    A ``kind`` that is not a :class:`SequenceKind` raises ``TypeError``.
+    """
     if kind is SequenceKind.U:
         return Fraction(0), Fraction(1)
     if kind is SequenceKind.V:
         return Fraction(2), p.b
-    return p.w0, p.w1
+    if kind is SequenceKind.W:
+        return p.w0, p.w1
+    raise _kind_error(kind)
 
 
 def discriminant(p: Params) -> Rational:
@@ -225,6 +234,8 @@ def _integer_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
         return _IntegerPoint(lam, mu, 1, 1, a, b, c, 0, 1)
     if kind is SequenceKind.V:
         return _IntegerPoint(lam, mu, mu, 1, a, b, c, 2, b)
+    if kind is not SequenceKind.W:
+        raise _kind_error(kind)
     w1 = mu * p.w1
     big_m = math.lcm(p.w0.denominator, w1.denominator)
     x0 = p.w0.numerator * (big_m // p.w0.denominator)
@@ -254,8 +265,10 @@ def _reflected_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
         x0n, x0d, x1n, x1d = 0, 1, 1, 1
     elif kind is SequenceKind.V:
         x0n, x0d, x1n, x1d = 2, 1, bn, bd
-    else:
+    elif kind is SequenceKind.W:
         x0n, x0d, x1n, x1d = p.w0.numerator, p.w0.denominator, p.w1.numerator, p.w1.denominator
+    else:
+        raise _kind_error(kind)
     # mu times the reflected x1, (x1 - b x0) / c, in lowest terms
     num, den = mu * cd * (x1n * x0d * bd - bn * x0n * x1d), x1d * x0d * bd * cn
     g = math.gcd(num, den)
@@ -440,7 +453,8 @@ def negative_term(p: Params, kind: SequenceKind, n: int) -> Rational:
     """Term at index -n (n >= 1) via the closed negative-index forms.
 
     Independent of the backward recurrence, so the two negative-index routes
-    cross-check each other.
+    cross-check each other.  A ``kind`` that is not a :class:`SequenceKind`
+    raises ``TypeError``.
     """
     if n < 1:
         raise ValueError("negative_term expects n >= 1 and returns the term at -n")
@@ -448,5 +462,7 @@ def negative_term(p: Params, kind: SequenceKind, n: int) -> Rational:
         return reflect_u(p, n, term_naive(p, SequenceKind.U, n))
     if kind is SequenceKind.V:
         return reflect_v(p, n, term_naive(p, SequenceKind.V, n))
-    u_n, u_next = term_range(p, SequenceKind.U, n, n + 1)
-    return reflect_w(p, n, u_n, u_next)
+    if kind is SequenceKind.W:
+        u_n, u_next = term_range(p, SequenceKind.U, n, n + 1)
+        return reflect_w(p, n, u_n, u_next)
+    raise _kind_error(kind)

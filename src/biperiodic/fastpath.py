@@ -207,10 +207,14 @@ def term_fast(
 
     All three methods return identical rationals on every input; they differ
     only in cost (naive is Theta(|n|) steps, the other two O(log |n|)
-    multiplications on term-sized values).
+    multiplications on term-sized values).  A ``method`` that is not a
+    :class:`Method`, or a ``kind`` that is not a ``SequenceKind``, raises
+    ``TypeError``.
     """
     if method is Method.NAIVE:
         return term_naive(p, kind, n, counter)
     if method is Method.MATRIX:
         return term_matrix(p, kind, n, counter)
-    return term_doubling(p, kind, n, counter)
+    if method is Method.DOUBLING:
+        return term_doubling(p, kind, n, counter)
+    raise TypeError(f"method must be a Method (NAIVE, MATRIX or DOUBLING), not {method!r}")

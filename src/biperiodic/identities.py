@@ -50,32 +50,31 @@ once, at the end.  The memo also holds the point's constants as such
 ratios: a, b, c, w0, w1, b/a and a/b (the parity weights (b/a)^e and
 (a/b)^e only take e = 0 or 1, so they are lookups), q = D/a^2 =
 b^2 + 4c(b/a), zero exactly where the discriminant D is, and the w
-invariant w1^2 - b w0 w1 - c (b/a) w0^2; and, for SUM and BINOM, ab as a
-pair of ints.  A point hashes its fields once, on the first lookup (see
+invariant w1^2 - b w0 w1 - c (b/a) w0^2; and, for SUM and BINOM, ab = tr K
+as a reduced ratio.  A point hashes its fields once, on the first lookup (see
 :class:`~biperiodic.core.Params`).  The geometric series of
 :func:`sum_oracle` stays independent of the tables, of the scalar closed
 form and of the fast routes: it multiplies pairs of ints that stand for
 elements of the algebra K generates, with its own helpers, and builds no
 matrix.
 
-A SUM check sums only its own sequence: one direct sum, one
-:func:`sum_constants`, and one corrected and one printed closed form.  The
-pair-returning :func:`sum_direct` and :func:`sum_closed` run the same
-per-sequence helpers for u and for v.  SUM and BINOM read one weighted term,
-y(t) = (ab)^floor(t/2) a^(zeta(t)+s) x(t) with s = -1 for u and 0 for v: it
-is 2K^t[2,1] for u and 2K^t[1,1] for v, and tr K = ab, det K = -abc.  Two
-facts about 2x2 matrices give both families.  By Cayley-Hamilton,
-K^m = y_u(m) K + abc y_u(m-1) I, whose n-th power times K^r is BINOM:
-y(mn+r) = sum_i C(n,i) y_u(m)^i (abc y_u(m-1))^(n-i) y(i+r).  The adjugate
-is adj(X) = tr(X) I - X, so adj(I - K^m) = (1 - tr(K^m)) I + K^m, with
-tr(K^m) = y_v(m), and the series (I - K^m)^-1 (K^r - K^top), top = m(n+1) + r,
-is the corrected closed form
+A SUM check sums only its own sequence: one direct sum, and one corrected
+and one printed closed form.  The pair-returning :func:`sum_direct` and
+:func:`sum_closed` run the same per-sequence helpers for u and for v.  SUM
+and BINOM read one weighted term, y(t) = (ab)^floor(t/2) a^(zeta(t)+s) x(t)
+with s = -1 for u and 0 for v: it is 2K^t[2,1] for u and 2K^t[1,1] for v,
+and tr K = ab, det K = -abc.  Two facts about 2x2 matrices give both
+families.  By Cayley-Hamilton, K^m = y_u(m) K + abc y_u(m-1) I, whose n-th
+power times K^r is BINOM: y(mn+r) = sum_i C(n,i) y_u(m)^i (abc y_u(m-1))^(n-i)
+y(i+r).  The adjugate is adj(X) = tr(X) I - X, so adj(I - K^m) =
+(1 - tr(K^m)) I + K^m, with tr(K^m) = y_v(m), and the series
+(I - K^m)^-1 (K^r - K^top), top = m(n+1) + r, is the corrected closed form
 
     ((1 - tr(K^m)) (y(r) - y(top)) + y(r+m) - y(top+m)) / det(I - K^m),
 
-which reads y at t >= 0 only.  These sides run on Python ints and build one
-``Fraction`` per value: one helper adds coef y(t) over ascending t >= 0 from
-the table's unreduced pairs (:meth:`~biperiodic.core.TermTable.pair`).
+which reads y at t >= 0 only, with det(I - K^m) = 1 - tr(K^m) + (ab)^m (-c)^m.
+:func:`_y_sum` adds int coef times y(t) over ascending t >= 0 from table pairs:
+tr(K^m), the direct sum and each closed-form numerator are one such sum.
 """
 
 from __future__ import annotations
@@ -230,16 +229,12 @@ class SumConstants:
     __repr__ = dataclass_repr
 
 
-def _ints(x: Rational) -> tuple[int, int]:
-    return x.numerator, x.denominator
-
-
 class _Ratio:
     """num/den on ints, den > 0, never reduced: the arithmetic of the checkers.
 
-    Ratios multiply by ratios and by ints, add, subtract, negate and take
-    powers e >= 0 on ints only; no gcd is taken and no ``Fraction`` is built
-    until :func:`_report` reduces each side once.
+    Ratios multiply by ratios and by ints, add, subtract, negate, divide by
+    nonzero ratios and take powers e >= 0 on ints only; no gcd is taken and
+    no ``Fraction`` is built until :func:`_reduced` reduces a value once.
     """
 
     __slots__ = ("num", "den")
@@ -261,7 +256,11 @@ class _Ratio:
         return _Ratio(-self.num, self.den)
 
     def __sub__(self, other: _Ratio) -> _Ratio:
-        return self + -other
+        return _Ratio(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __truediv__(self, other: _Ratio) -> _Ratio:
+        sign = -1 if other.num < 0 else 1  # keeps den > 0
+        return _Ratio(sign * self.num * other.den, sign * self.den * other.num)
 
     def __pow__(self, e: int) -> _Ratio:
         return _Ratio(self.num**e, self.den**e)
@@ -294,13 +293,12 @@ class _Point:
     ``u``, ``v`` and ``w`` are the tables and ``us``, ``vs`` and ``ws`` their
     terms as ratios.  The constants are those of the module docstring:
     ``ba[e]`` and ``ab[e]`` are (b/a)^e and (a/b)^e for e = 0 and 1, and
-    ``w_inv`` is the w invariant; ``ab_ints`` is ab as (numerator,
-    denominator).
+    ``w_inv`` is the w invariant; ``tr_k`` is tr K = ab, reduced.
     """
 
     __slots__ = (
         "u", "v", "w", "us", "vs", "ws", "a", "b", "c", "w0", "w1", "ba", "ab", "q", "w_inv",
-        "ab_ints",
+        "tr_k",
     )
 
     def __init__(self, p: Params) -> None:
@@ -312,7 +310,7 @@ class _Point:
         self.ba, self.ab = (one, ba), (one, _ratio(p.a / p.b))
         self.q = b * b + 4 * c * ba
         self.w_inv = w1 * w1 - b * w0 * w1 - c * ba * w0 * w0
-        self.ab_ints = _ints(p.a * p.b)
+        self.tr_k = _ratio(p.a * p.b)
 
 
 @lru_cache(maxsize=1)
@@ -474,30 +472,31 @@ def check_square_difference(p: Params, n: int) -> IdentityReport:
     return _report(Family.T34, None, p, {"n": n}, lhs, rhs)
 
 
+def _constants(p: Params, m: int) -> tuple[_Ratio, _Ratio, _Ratio]:
+    """(tr, corrected, printed): tr = tr(K^m) = y_v(m) and both constants from it.
+
+    corrected = det(I - K^m) = 1 - tr + (ab)^m (-c)^m.  Since y_v(m) =
+    (ab)^floor(m/2) a^z v(m), z = zeta(m), the printed constant of
+    :func:`sum_constants` is 1 - tr / (ab)^floor(m/2) + (ab)^z (-c)^m.
+    """
+    pt = _tables(p)
+    tr = _Ratio(*_y_sum(p, pt.v, 0, [(m, 1)]))
+    c_m = (-pt.c) ** m
+    corrected = _Ratio(1) - tr + pt.tr_k**m * c_m
+    printed = _Ratio(1) - tr / pt.tr_k ** (m // 2) + pt.tr_k ** zeta(m) * c_m
+    return tr, corrected, printed
+
+
 def sum_constants(p: Params, m: int) -> SumConstants:
     """Both normalizing constants of the partial-sum closed form at step m.
 
     printed = 1 - a^z v(m) + (ab)^z (-c)^m and
     corrected = 1 - (ab)^floor(m/2) a^z v(m) + (-abc)^m, with z = zeta(m).
-    v(m) is read as a pair of ints, and each constant is summed over the
-    product of its terms' denominators and built as one ``Fraction``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    pt = _tables(p)
-    v, v_den = pt.v.pair(m)
-    z, k = zeta(m), m // 2
-    alpha, beta = _ints(p.a)
-    g, h = pt.ab_ints
-    gamma, delta = _ints(p.c)
-    # each constant is 1 - head + tail, over the product of the denominators
-    head, head_den = alpha**z * v, beta**z * v_den  # a^z v(m)
-    tail, tail_den = g**z * (-gamma) ** m, h**z * delta**m  # (ab)^z (-c)^m
-    printed = Fraction((head_den - head) * tail_den + tail * head_den, head_den * tail_den)
-    head, head_den = g**k * head, h**k * head_den  # (ab)^floor(m/2) a^z v(m)
-    tail, tail_den = (-g * gamma) ** m, (h * delta) ** m  # (-abc)^m
-    corrected = Fraction((head_den - head) * tail_den + tail * head_den, head_den * tail_den)
-    return SumConstants(printed, corrected)
+    _, corrected, printed = _constants(p, m)
+    return SumConstants(_reduced(printed), _reduced(corrected))
 
 
 def _validate_sum_indices(m: int, n: int, r: int) -> None:
@@ -579,15 +578,16 @@ def sum_oracle(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
 
 
 def _y_sum(p: Params, xs: TermTable, shift: int, terms: list[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of coef y(t) over (t, coef) in ascending t >= 0, as (num, den).
+    """The sum of coef y(t) over (t, coef) in ascending t >= 0, as (num, den), den > 0.
 
-    The sum runs on ints over the denominator s_T h^floor(T/2) alpha beta of
-    its last index T, where s_T is the table's scale at T (see
+    The sum runs on ints over the denominator s_T h^floor(T/2) |alpha| beta
+    of its last index T, where s_T is the table's scale at T (see
     :meth:`~biperiodic.core.TermTable.pair`), which every earlier scale
-    divides.  The pair is not reduced.
+    divides.  An index may repeat.  The pair is not reduced.
     """
-    g, h = _tables(p).ab_ints
-    alpha, beta = _ints(p.a)
+    pt = _tables(p)
+    g, h = pt.tr_k.num, pt.tr_k.den
+    alpha, beta = pt.a.num, pt.a.den
     weights = beta * beta, alpha * beta, alpha * alpha
     # num is the sum so far over den h^half alpha beta, den the table's at t
     num, den, half, g_half = 0, 1, 0, 1
@@ -598,7 +598,8 @@ def _y_sum(p: Params, xs: TermTable, shift: int, terms: list[tuple[int, int]]) -
         g_half *= g**step
         num = num * h**step * (x_den // den) + g_half * (coef * weights[zeta(t) + shift + 1]) * x
         den = x_den
-    return num, den * h**half * weights[1]
+    den *= h**half * weights[1]
+    return (num, den) if den > 0 else (-num, -den)
 
 
 def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> Rational:
@@ -606,36 +607,31 @@ def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) ->
     return Fraction(*_y_sum(p, xs, shift, [(t, 1) for t in range(r, m * n + r + 1, m)]))
 
 
-def _divided(num: int, den: int, d: Rational) -> Rational | None:
-    """num / (den d) as one ``Fraction``, or None where d is zero."""
-    return None if d == 0 else Fraction(num * d.denominator, den * d.numerator)
-
-
 def _closed_sums(
-    p: Params, xs: TermTable, shift: int, m: int, n: int, r: int, consts: SumConstants
+    p: Params, xs: TermTable, shift: int, m: int, n: int, r: int
 ) -> tuple[Rational | None, Rational | None]:
-    """The corrected and the printed closed form of one partial sum.
+    """The corrected and the printed closed form of one partial sum, or None.
 
-    Both read y(r), y(r+m), y(top), y(top+m) and tr(K^m) once (see
-    :func:`sum_closed`); a form whose constant is zero is None.
+    With tr(K^m) = t/one, (ab)^floor(m/2) = g/h and d the form's constant,
+    each is one :func:`_y_sum` on y(r), y(r+m), y(top), y(top+m): coefficients
+    (one - t, one, t - one, -one) over one d, and (g one - h t, h one,
+    -(g one + h t), h one) over g one d (see :func:`sum_closed`); None where d = 0.
     """
+    tr, corrected, printed = _constants(p, m)
+    t, one = tr.num, tr.den
+    weight = _tables(p).tr_k ** (m // 2)
+    g, h = weight.num, weight.den
     top = m * n + m + r
-    reads = [_y_sum(p, xs, shift, [(t, 1)]) for t in (r, r + m, top, top + m)]
-    den = reads[-1][1]  # every earlier read's denominator divides it
-    y_r, y_rm, y_top, y_top_m = (num * (den // t_den) for num, t_den in reads)
-    tr, tr_den = _y_sum(p, _tables(p).v, 0, [(m, 1)])  # tr(K^m) = y_v(m)
-    # (1 - tr) (y(r) - y(top)) + y(r+m) - y(top+m), over den tr_den
-    corrected = (tr_den - tr) * (y_r - y_top) + tr_den * (y_rm - y_top_m)
-    # w = (ab)^floor(m/2) times the printed numerator is
-    # (w - tr) y(r) + y(r+m) - (w + tr) y(top) + y(top+m); over den h_k tr_den,
-    # w, tr and 1 are w_n, tr_n and one_n, and dividing by w leaves den w_n
-    g, h = _tables(p).ab_ints
-    g_k, h_k = g ** (m // 2), h ** (m // 2)
-    w_n, tr_n, one_n = g_k * tr_den, h_k * tr, h_k * tr_den
-    printed = (w_n - tr_n) * y_r + one_n * (y_rm + y_top_m) - (w_n + tr_n) * y_top
+    indices = (r, r + m, top, top + m)
+
+    def closed(coefs: tuple[int, ...], under: _Ratio) -> Rational | None:
+        if under.num == 0:
+            return None
+        return _reduced(_Ratio(*_y_sum(p, xs, shift, list(zip(indices, coefs)))) / under)
+
     return (
-        _divided(corrected, den * tr_den, consts.d_corrected),
-        _divided(printed, den * w_n, consts.d_printed),
+        closed((one - t, one, t - one, -one), corrected * one),
+        closed((g * one - h * t, h * one, -(g * one + h * t), h * one), printed * (g * one)),
     )
 
 
@@ -667,15 +663,14 @@ def sum_closed(
     (w - tr(K^m)) y(r) + y(r+m) - (w + tr(K^m)) y(top) + y(top+m).
     """
     _validate_sum_indices(m, n, r)
-    consts = sum_constants(p, m)
     pt = _tables(p)
     pick = 0 if corrected else 1
-    u_sum = _closed_sums(p, pt.u, -1, m, n, r, consts)[pick]
+    u_sum = _closed_sums(p, pt.u, -1, m, n, r)[pick]
     if u_sum is None:
         if corrected:
             raise SingularSeriesError("partial-sum constant det(I - K^m) is zero for this m")
         return None
-    return u_sum, _closed_sums(p, pt.v, 0, m, n, r, consts)[pick]
+    return u_sum, _closed_sums(p, pt.v, 0, m, n, r)[pick]
 
 
 def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
@@ -684,8 +679,8 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     ``passed`` requires the direct sum, the matrix-series oracle, and the
     corrected closed form to agree exactly.  The simplified-constant value
     rides along in ``printed_form_value`` and is compared informally.
-    Only the sequence ``seq`` is summed, and the constants and the terms
-    the closed forms read are computed once for both.
+    Only the sequence ``seq`` is summed, and tr(K^m), from which both
+    constants come, is read once for both closed forms.
     """
     if seq not in ("u", "v"):
         raise ValueError(f"seq must be 'u' or 'v', not {seq!r}")
@@ -695,7 +690,7 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     xs, shift = (pt.u, -1) if seq == "u" else (pt.v, 0)
     direct = _direct_sum(p, xs, shift, m, n, r)
     # the oracle has raised SingularSeriesError where det(I - K^m) is zero
-    closed_value, printed_value = _closed_sums(p, xs, shift, m, n, r, sum_constants(p, m))
+    closed_value, printed_value = _closed_sums(p, xs, shift, m, n, r)
     return IdentityReport(
         IdentityId(Family.SUM, seq),
         p,
@@ -878,7 +873,10 @@ def run_suite(config: SuiteConfig) -> SuiteSummary:
     parameter and index draws happen in a fixed order and reports are sorted
     by identity, in sample order within each.  Precondition failures (zero
     discriminant, zero series constant) become skip records, never failures.
+    A ``families`` entry that is not a :class:`Family` raises ``TypeError``.
     """
+    if not set(config.families) <= set(Family):
+        raise TypeError(f"families must hold Family members: {', '.join(Family.__members__)}")
     if config.samples < 1:
         raise ValueError("samples must be >= 1")
     if config.max_index < 1:

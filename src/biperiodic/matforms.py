@@ -58,7 +58,8 @@ def build(tag: MatrixTag, p: Params) -> Mat2:
 
     Every tag is constructible for all valid parameters; a zero discriminant
     merely collapses K and H (their power closed forms reject that case, the
-    plain matrices do not).
+    plain matrices do not).  A ``tag`` that is not a :class:`MatrixTag`
+    raises ``TypeError``.
     """
     ab = p.a * p.b
     if tag is MatrixTag.U:
@@ -75,7 +76,9 @@ def build(tag: MatrixTag, p: Params) -> Mat2:
             p.a * p.w1,
             p.c * p.b * p.w0,
         )
-    return Mat2(ab, ab * p.c, 1, 0)
+    if tag is MatrixTag.A:
+        return Mat2(ab, ab * p.c, 1, 0)
+    raise TypeError(f"tag must be a MatrixTag (U, K, H, T or A), not {tag!r}")
 
 
 def _u_form(p: Params, k: int, terms: list[Rational]) -> Mat2:

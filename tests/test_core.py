@@ -35,6 +35,8 @@ from biperiodic.core import (
     w_from_u,
     zeta,
 )
+from biperiodic.fastpath import term_fast
+from biperiodic.matforms import build
 from conftest import P_STAR, random_params
 
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
@@ -408,3 +410,28 @@ class TestTerm:
         built, public = _term(pt, k, numer), Fraction(numer, _scale(pt, k))
         assert (built.numerator, built.denominator) == (public.numerator, public.denominator)
         assert built == public and hash(built) == hash(public)
+
+
+FIBONACCI = Params(1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    ("call", "expected"),
+    [
+        (lambda: initial_pair(P_STAR, "w"), "SequenceKind"),
+        (lambda: term_naive(P_STAR, "v", 5), "SequenceKind"),
+        (lambda: TermTable(P_STAR, "v"), "SequenceKind"),
+        (lambda: term_fast(P_STAR, "v", -5), "SequenceKind"),
+        (lambda: negative_term(P_STAR, "v", 3), "SequenceKind"),
+        (lambda: term_fast(FIBONACCI, U, 30, "matrix"), "Method"),
+        (lambda: term_fast(FIBONACCI, U, 30, "bogus"), "Method"),
+        (lambda: build("U", P_STAR), "MatrixTag"),
+        (lambda: identities.run_suite(identities.SuiteConfig(families=("L1",))), "Family"),
+    ],
+    ids=["initial_pair", "term_naive", "TermTable", "term_fast-reflected", "negative_term",
+         "term_fast-method", "term_fast-bogus", "build", "run_suite"],
+)
+def test_a_value_that_is_not_a_member_raises(call, expected: str) -> None:
+    # each if-chain tests its last member too, so no stray value runs as it
+    with pytest.raises(TypeError, match=expected):
+        call()

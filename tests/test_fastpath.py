@@ -5,10 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biperiodic.core import Params, SequenceKind, _integer_point, _scale, term_naive
+from biperiodic.core import Params, SequenceKind, _integer_point, _scale, initial_pair, term_naive
 from biperiodic.exact import OpCounter
 from biperiodic.fastpath import Method, term_doubling, term_fast, term_matrix, uv_doubling
 from biperiodic.fastpath import _from_u, _u_pair
@@ -216,6 +216,66 @@ class TestIdentitiesAtDepth:
         lhs = (ba ** ((m * n + n) % 2) * u[m] * u[n + 1]
                + ba ** ((m * n + m) % 2) * p.c * u[n] * u[m - 1])
         assert lhs == u[n + m]
+
+
+# The modular oracle: the defining recurrence walked on residues modulo a
+# prime.  It shares nothing with the integer point, the scale, doubling or
+# the matrix, and reaches indices the Fraction walk cannot.  Equal residues
+# are a fingerprint of equality, not a proof of it.
+PRIMES = (2**61 - 1, 2**31 - 1)
+
+
+def residue(x: Fraction, prime: int) -> int:
+    return x.numerator * pow(x.denominator, -1, prime) % prime
+
+
+def walk_mod(p: Params, kind: SequenceKind, n: int, prime: int) -> int:
+    """x(n) mod prime by |n| steps of w(k) = chi(k) w(k-1) + c w(k-2), backward for n < 0."""
+    a, b, c = (residue(x, prime) for x in (p.a, p.b, p.c))
+    lo, hi = (residue(x, prime) for x in initial_pair(p, kind))  # x(k), x(k+1) at k = 0
+    for k in range(1, n):  # x(k+1) = chi(k+1) x(k) + c x(k-1)
+        lo, hi = hi, ((a if k % 2 else b) * hi + c * lo) % prime
+    c_inv = pow(c, -1, prime)
+    for k in range(0, n, -1):  # x(k-1) = (x(k+1) - chi(k+1) x(k)) / c
+        lo, hi = (hi - (b if k % 2 == 0 else a) * lo) * c_inv % prime, lo
+    return hi if n > 0 else lo
+
+
+def assert_fast_routes_match_the_walk(p: Params, kind: SequenceKind, n: int) -> None:
+    dens = [x.denominator for x in (p.a, p.b, p.c, p.w0, p.w1)]
+    for prime in PRIMES:
+        if p.c.numerator % prime == 0 or any(d % prime == 0 for d in dens):
+            continue
+        walked = walk_mod(p, kind, n, prime)
+        for route in (term_doubling, term_matrix):
+            got = residue(route(p, kind, n), prime)
+            assert got == walked, (route.__name__, kind, n, prime)
+
+
+class TestModularOracle:
+    """Both fast routes against the recurrence itself, walked modulo fixed primes."""
+
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_walk_matches_the_fraction_walk(self, kind: SequenceKind) -> None:
+        for n in range(-40, 41):
+            expected = term_naive(RATIONAL, kind, n)
+            for prime in PRIMES:
+                assert walk_mod(RATIONAL, kind, n, prime) == residue(expected, prime), n
+
+    @settings(max_examples=25)
+    @given(p=rational_points(), n=st.integers(-(2**14), 2**14))
+    @example(p=RATIONAL, n=2**14)
+    @example(p=RATIONAL, n=-(2**14))
+    def test_fast_routes_at_depth(self, p: Params, n: int) -> None:
+        for kind in SequenceKind:
+            assert_fast_routes_match_the_walk(p, kind, n)
+
+    @pytest.mark.parametrize(
+        "p", [FIBONACCI, P_STAR, RATIONAL], ids=["fibonacci", "p_star", "rational"]
+    )
+    @pytest.mark.parametrize("n", [10**5, -(10**5)])
+    def test_fast_routes_at_ten_to_the_fifth(self, p: Params, n: int) -> None:
+        assert_fast_routes_match_the_walk(p, W, n)
 
 
 class TestLargeIndex:

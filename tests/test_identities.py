@@ -560,6 +560,10 @@ class TestPartialSums:
     # n = 0 and r = 0: a read at t = 0, top - m = r, and r - m < 0 in one case
     @example(abc=(Fraction(1, 2), Fraction(3), Fraction(-2, 5)), m=5, n=0, r=0)
     @example(abc=(P_STAR.a, P_STAR.b, P_STAR.c), m=1, n=0, r=0)
+    # a < 0, so y's denominator carries a negative factor; at n = 0,
+    # top = r + m and each closed form reads that index twice
+    @example(abc=(Fraction(-5, 3), Fraction(-5, 4), Fraction(1)), m=1, n=0, r=0)
+    @example(abc=(Fraction(-5, 3), Fraction(-5, 4), Fraction(1)), m=3, n=0, r=2)
     def test_int_sums_equal_the_fraction_sums(
         self, abc: tuple[Fraction, Fraction, Fraction], m: int, n: int, r: int
     ) -> None:
@@ -581,6 +585,15 @@ class TestPartialSums:
             assert outcome(sum_closed, p, m, n, r, corrected) == outcome(
                 fraction_sum_closed, p, m, n, r, corrected
             )
+
+    @given(p=grid_points)
+    @example(p=Params(Fraction(-5, 3), Fraction(-5, 4), 1))
+    def test_y_sum_denominator_is_positive(self, p: Params) -> None:
+        for kind in SequenceKind:
+            xs = TermTable(p, kind)
+            for shift in (-1, 0):
+                for t in range(25):
+                    assert _y_sum(p, xs, shift, [(t, 1)])[1] > 0, (kind, shift, t)
 
     @given(abc=st.tuples(grid_nonzero, grid_nonzero, grid_nonzero))
     @example(abc=(DEGENERATE.a, DEGENERATE.b, DEGENERATE.c))
