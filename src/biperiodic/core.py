@@ -24,20 +24,20 @@ yet taken, and :func:`term_range` reads a fresh table index by index.
 
 A table and both fast routes walk on Python ints at one integer point.  With
 lam = den a and mu = lcm(den b, den c / gcd(den c, lam)), (A, B, C) = (lam a,
-mu b, lam mu c) are integers, and for every kind and k >= 1
+mu b, lam mu c) are integers.  Every kind starts there as W does, from its
+pair (x0, x1) of :func:`initial_pair`: x'(0) = M x0 and x'(1) = M mu x1,
+where M is the least positive int that makes both integers (1 for U and V,
+since mu b = B).  Then x' runs the recurrence at (A, B, C), and for every
+k >= 0
 
-    x(k) = x'(k) / (lam^zeta(k+1) (lam mu)^floor((k-1)/2) m),
+    x(k) = x'(k) / (M lam^floor(k/2) mu^ceil(k/2)).
 
-where x' is the same kind at (A, B, C) from the initial pair (0, 1), (2, B)
-or (M w0, M mu w1), m is 1, mu or mu M for U, V and W, and M clears the
-denominators of w0 and mu w1; x(0) is x'(0) / M for W and x'(0) for U and
-V.  This scale, ``_scale`` at ``_integer_point``, is the denominator the
-terms actually carry, and each one divides the next.  A :class:`TermTable`
-carries it along its walk; the fast routes, which jump to one index, compute
-it.  Every prime of it divides the small base lam mu m, so ``_term`` reduces
-x'(k) over it by remainders and gcds against that base, and builds the
-``Fraction`` without the public constructor's general gcd, which is
-quadratic in the term size.
+This scale, ``_scale``, is the denominator the terms actually carry, and
+each one divides the next.  A :class:`TermTable` carries it along its walk;
+the fast routes, which jump to one index, compute it once.  Every prime of
+it divides the small base lam mu M, so ``_term`` reduces x'(k) over it by
+remainders and gcds against that base, and builds the ``Fraction`` without
+the public constructor's general gcd, which is quadratic in the term size.
 """
 
 from __future__ import annotations
@@ -142,15 +142,20 @@ def _kind_error(kind: object) -> TypeError:
     return TypeError(f"kind must be a SequenceKind (U, V or W), not {kind!r}")
 
 
+# the fixed initial terms of U and V, built once: every integer point starts
+# from initial_pair, and a Fraction is immutable
+_ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
+
+
 def initial_pair(p: Params, kind: SequenceKind) -> tuple[Rational, Rational]:
     """Terms at indices 0 and 1 for the given initial-value convention.
 
     A ``kind`` that is not a :class:`SequenceKind` raises ``TypeError``.
     """
     if kind is SequenceKind.U:
-        return Fraction(0), Fraction(1)
+        return _ZERO, _ONE
     if kind is SequenceKind.V:
-        return Fraction(2), p.b
+        return _TWO, p.b
     if kind is SequenceKind.W:
         return p.w0, p.w1
     raise _kind_error(kind)
@@ -206,41 +211,47 @@ def term_naive(
 
 
 class _IntegerPoint:
-    """The integer point (a, b, c) = (lam a, mu b, lam mu c) of one kind.
+    """The integer point (a, b, c) = (lam a, mu b, lam mu c) and one kind's start.
 
-    (x0, x1) is the kind's integer initial pair there, m the constant part
-    of the scale at k >= 1 (1 for U, mu for V, mu*M for W), and m0 the scale
-    of index 0 (1 for U and V, M for W).  A plain slotted class, because a
-    dataclass adds about 3 ms to each import from source.
+    (x0, x1) = (M x0, M mu x1) is the kind's initial pair scaled to ints,
+    and m is M, so the scale of index k is m lam^floor(k/2) mu^ceil(k/2).
+    A plain slotted class, because a dataclass adds about 3 ms to each
+    import from source.
     """
 
-    __slots__ = ("lam", "mu", "m", "m0", "a", "b", "c", "x0", "x1")
+    __slots__ = ("lam", "mu", "m", "a", "b", "c", "x0", "x1")
 
     def __init__(
-        self, lam: int, mu: int, m: int, m0: int, a: int, b: int, c: int, x0: int, x1: int
+        self, lam: int, mu: int, m: int, a: int, b: int, c: int, x0: int, x1: int
     ) -> None:
-        self.lam, self.mu, self.m, self.m0 = lam, mu, m, m0
+        self.lam, self.mu, self.m = lam, mu, m
         self.a, self.b, self.c = a, b, c
         self.x0, self.x1 = x0, x1
 
 
+def _start(
+    lam: int, mu: int, a: int, b: int, c: int, x0: Rational, x1n: int, x1d: int
+) -> _IntegerPoint:
+    """The integer point (a, b, c) started at x'(0) = M x0 and x'(1) = M mu x1.
+
+    x1 = x1n / x1d is in lowest terms with x1d > 0; mu x1 is reduced by
+    gcd(mu, x1d), and M is the least positive int that makes both integers.
+    """
+    g = math.gcd(mu, x1d)
+    x1n, x1d = mu // g * x1n, x1d // g
+    x0d = x0.denominator
+    m = math.lcm(x0d, x1d)
+    return _IntegerPoint(lam, mu, m, a, b, c, x0.numerator * (m // x0d), x1n * (m // x1d))
+
+
 def _integer_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
+    """The integer point of p, started from the initial pair of ``kind``."""
+    x0, x1 = initial_pair(p, kind)
     lam = p.a.denominator
     mu = math.lcm(p.b.denominator, p.c.denominator // math.gcd(p.c.denominator, lam))
-    a = p.a.numerator
     b = p.b.numerator * (mu // p.b.denominator)
     c = p.c.numerator * (lam * mu // p.c.denominator)
-    if kind is SequenceKind.U:
-        return _IntegerPoint(lam, mu, 1, 1, a, b, c, 0, 1)
-    if kind is SequenceKind.V:
-        return _IntegerPoint(lam, mu, mu, 1, a, b, c, 2, b)
-    if kind is not SequenceKind.W:
-        raise _kind_error(kind)
-    w1 = mu * p.w1
-    big_m = math.lcm(p.w0.denominator, w1.denominator)
-    x0 = p.w0.numerator * (big_m // p.w0.denominator)
-    x1 = w1.numerator * (big_m // w1.denominator)
-    return _IntegerPoint(lam, mu, mu * big_m, big_m, a, b, c, x0, x1)
+    return _start(lam, mu, p.a.numerator, b, c, x0, x1.numerator, x1.denominator)
 
 
 def _reflected_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
@@ -251,6 +262,7 @@ def _reflected_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
     of p by one gcd per value, with c's sign moved into its numerator first,
     and no ``Fraction`` or ``Params`` is built.
     """
+    x0, x1 = initial_pair(p, kind)
     an, ad, bn, bd = p.a.numerator, p.a.denominator, p.b.numerator, p.b.denominator
     cn, cd = p.c.numerator, p.c.denominator
     if cn < 0:  # 1/c = cd/cn with cn > 0
@@ -261,46 +273,31 @@ def _reflected_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
     b_den = bd // h * (cn // g)
     mu = math.lcm(b_den, cn // math.gcd(cn, lam))
     b, c = -(bn // g) * (cd // h) * (mu // b_den), cd * (lam * mu // cn)
-    if kind is SequenceKind.U:
-        x0n, x0d, x1n, x1d = 0, 1, 1, 1
-    elif kind is SequenceKind.V:
-        x0n, x0d, x1n, x1d = 2, 1, bn, bd
-    elif kind is SequenceKind.W:
-        x0n, x0d, x1n, x1d = p.w0.numerator, p.w0.denominator, p.w1.numerator, p.w1.denominator
-    else:
-        raise _kind_error(kind)
-    # mu times the reflected x1, (x1 - b x0) / c, in lowest terms
-    num, den = mu * cd * (x1n * x0d * bd - bn * x0n * x1d), x1d * x0d * bd * cn
+    # the reflected x1, (x1 - b x0) / c, in lowest terms
+    x0n, x0d, x1n, x1d = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+    num, den = cd * (x1n * x0d * bd - bn * x0n * x1d), x1d * x0d * bd * cn
     g = math.gcd(num, den)
-    num, den = num // g, den // g
-    big_m = math.lcm(x0d, den)
-    return _IntegerPoint(
-        lam, mu, mu * big_m, big_m, a, b, c, x0n * (big_m // x0d), num * (big_m // den)
-    )
+    return _start(lam, mu, a, b, c, x0, num // g, den // g)
 
 
 def _scale(pt: _IntegerPoint, k: int) -> int:
     """The denominator x'(k) carries at index k >= 0, so x(k) = x'(k) / _scale(pt, k).
 
-    From odd to even k the scale gains a factor lam, from even to odd a
-    factor mu, and from 0 to 1 a factor m / m0.
+    It is M lam^floor(k/2) mu^ceil(k/2): from odd to even k the scale gains
+    a factor lam, and from even to odd a factor mu.
     """
-    if k == 0:
-        return pt.m0
-    half = (k - 1) // 2
-    return pt.lam ** ((k + 1) % 2 + half) * pt.mu**half * pt.m
+    return pt.m * pt.lam ** (k // 2) * pt.mu ** ((k + 1) // 2)
 
 
-def _term(pt: _IntegerPoint, k: int, numer: int) -> Rational:
-    """x(k) in lowest terms from numer = x'(k), for k >= 0.
+def _term(pt: _IntegerPoint, numer: int, den: int) -> Rational:
+    """x(k) in lowest terms from numer = x'(k) and its scale den = ``_scale(pt, k)``.
 
-    Every prime of the scale divides the small base B = lam mu m, so a
-    common factor of numer and the scale is gcd(numer mod B, B, scale mod B):
-    remainders by a small int, linear in the operands, and no gcd of two
-    large values.  A common factor h is squared while its square still
-    divides both, so a high power of it leaves in a few passes.
+    The caller holds the scale.  Every prime of it divides the small base
+    lam mu M, so a common factor of numer and den is gcd(numer mod base,
+    base, den mod base): remainders by a small int, linear in the operands,
+    and no gcd of two large values.  A common factor h is squared while its
+    square still divides both, so a high power of it leaves in a few passes.
     """
-    den = _scale(pt, k)
     base = pt.lam * pt.mu * pt.m
     h = math.gcd(numer % base, base, den % base)
     while h > 1:
@@ -325,16 +322,15 @@ class TermTable:
         x'(k) = chi'(k) x'(k-1) + C x'(k-2),   chi'(k) = A at even k, B at odd k,
 
     has integer coefficients, so no step reduces a fraction.  The walk
-    carries scale(k) next to x'(k): index 0 starts at m0 and index 1 at m,
+    carries scale(k) next to x'(k): index 0 starts at M and index 1 at M mu,
     and each step multiplies the scale by lam into an even k and by mu into
     an odd one.  ``pair(k)`` returns the stored (x'(k), scale(k)) and builds
-    no ``Fraction``; ``table[k]`` builds the ``Fraction`` of an index k >= 0
-    through ``_term``, which reduces by the factors of the known scale, on
-    every read.  Index -k is index k of a mirror table, built on the first
-    negative read, that holds only the integer point of kind W at the
-    reflected point (see :func:`reflected`), derived on ints by
-    ``_reflected_point``; reflecting twice gives back this point, so the
-    mirror is only ever read at k >= 0.
+    no ``Fraction``; ``table[k]`` hands that pair to ``_term``, which reduces
+    by the factors of the scale, on every read of an index k >= 0.  Index -k
+    is index k of a mirror table, built on the first negative read, that
+    holds only the integer point of kind W at the reflected point (see
+    :func:`reflected`), derived on ints by ``_reflected_point``; reflecting
+    twice gives back this point, so the mirror is only ever read at k >= 0.
     """
 
     def __init__(self, p: Params, kind: SequenceKind) -> None:
@@ -344,14 +340,14 @@ class TermTable:
     def _walk_from(self, pt: _IntegerPoint) -> None:
         self._point = pt
         # (x'(k), scale(k)) for 0 <= k <= hi
-        self._pairs = {0: (pt.x0, pt.m0), 1: (pt.x1, pt.m)}
+        self._pairs = {0: (pt.x0, pt.m), 1: (pt.x1, pt.m * pt.mu)}
         self._hi = 1
         self._mirror: TermTable | None = None
 
     def __getitem__(self, key: int) -> Rational:
         if key < 0:
             return self._reflection()[-key]
-        return _term(self._point, key, self.pair(key)[0])
+        return _term(self._point, *self.pair(key))
 
     def pair(self, k: int) -> tuple[int, int]:
         """The term at index k as the unreduced pair (N, den) of ints, den > 0.

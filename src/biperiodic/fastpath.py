@@ -10,13 +10,15 @@ Two independent fast routes are provided next to the linear-time oracle:
   addition identities of the u-sequence.
 
 Both routes run on Python ints at the integer point of
-:mod:`biperiodic.core`, where the scaling of a rational point is stated
-once, and build one Fraction per result from x'(n) and its scale through
-``core._term``.  Every prime of that scale divides the small base lam mu m,
-so ``_term`` strips the common factor by remainders and gcds against the
-base, each linear in the size of the result, and never runs the general
-gcd of the public ``Fraction`` constructor, which is quadratic in that size
-and would be most of the cost of a large term at a rational point.  A
+:mod:`biperiodic.core`, where every kind starts as W does from its initial
+pair and the scale of index n is one formula, ``core._scale``.  Each route
+computes that scale once and builds one Fraction per result from x'(n) and
+the scale through ``core._term``.  Every prime of the scale divides the
+small base lam mu M, so ``_term`` strips the common factor by remainders
+and gcds against the base, each linear in the size of the result, and
+never runs the general gcd of the public ``Fraction`` constructor, which is
+quadratic in that size and would be most of the cost of a large term at a
+rational point.  A
 negative index -n is index n of kind W at the reflected point (-a/c, -b/c,
 1/c) of :func:`biperiodic.core.reflected`, whose integer point
 ``core._reflected_point`` derives on ints from the point's numerators and
@@ -34,7 +36,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .core import Params, SequenceKind, initial_pair, term_naive
-from .core import _integer_point, _IntegerPoint, _reflected_point, _term
+from .core import _integer_point, _IntegerPoint, _reflected_point, _scale, _term
 from .exact import OpCounter, Rational
 
 __all__ = [
@@ -78,8 +80,10 @@ def _from_u(pt: _IntegerPoint, k: int, u_prev: int, u_k: int, counter: OpCounter
 def _u_pair(pt: _IntegerPoint, n: int, counter: OpCounter | None) -> tuple[int, int]:
     """(u'(n), u'(n+1)) at the integer point for n >= 0, by index doubling.
 
-    The walk starts at (u'(1), u'(2)) = (1, a), because u'(-1) = 1/c is not
-    an integer.  One level maps the pair at k to the pair at 2k:
+    u' is the sequence at the integer point from (u'(0), u'(1)) = (0, 1), so
+    the U kind's x' there is x1 u'.  The walk starts at (u'(1), u'(2)) =
+    (1, a), because u'(-1) = 1/c is not an integer.  One level maps the
+    pair at k to the pair at 2k:
 
         u(2k)   = u(k) (2 u(k+1) - chi(k+1) u(k)),
         u(2k+1) = (b/a)^zeta(k) u(k+1)^2 + (b/a)^zeta(k+1) c u(k)^2,
@@ -115,16 +119,17 @@ def uv_doubling(
 ) -> tuple[Rational, Rational]:
     """The pair (u(n), u(n+1)) in O(log n) multiplications, n >= 0.
 
-    The pair is doubled on ints at the integer point (see the module
-    docstring and ``_u_pair``), then each term is reduced over its scale into
-    one Fraction.  The counter, when given, accrues the exact number of integer
+    The pair (u'(n), u'(n+1)) is doubled on ints at the integer point (see
+    the module docstring and ``_u_pair``).  The U kind's x' is x1 u', so
+    each term is x1 u' reduced over its scale into one Fraction.  The
+    counter, when given, accrues the exact number of integer
     multiplications and divisions of the walk.
     """
     if n < 0:
         raise ValueError("doubling is defined for n >= 0")
     pt = _integer_point(p, SequenceKind.U)
     u_n, u_next = _u_pair(pt, n, counter)
-    return _term(pt, n, u_n), _term(pt, n + 1, u_next)
+    return _term(pt, pt.x1 * u_n, _scale(pt, n)), _term(pt, pt.x1 * u_next, _scale(pt, n + 1))
 
 
 def term_doubling(
@@ -140,7 +145,7 @@ def term_doubling(
     if n == 0:
         return initial_pair(p, kind)[0]
     pt, n = (_reflected_point(p, kind), -n) if n < 0 else (_integer_point(p, kind), n)
-    return _term(pt, n, _from_u(pt, n, *_u_pair(pt, n - 1, counter), counter))
+    return _term(pt, _from_u(pt, n, *_u_pair(pt, n - 1, counter), counter), _scale(pt, n))
 
 
 def _square(m: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -193,7 +198,7 @@ def term_matrix(
         # x2, ab + c and ac (4); P (x2, x1) when e is odd (4); the column
         # (4); the row by the column (2)
         counter.add(10 + 4 * odd_e)
-    return _term(pt, n, numer)
+    return _term(pt, numer, _scale(pt, n))
 
 
 def term_fast(

@@ -60,7 +60,9 @@ matrix.
 
 A SUM check sums only its own sequence: one direct sum, and one corrected
 and one printed closed form.  The pair-returning :func:`sum_direct` and
-:func:`sum_closed` run the same per-sequence helpers for u and for v.  SUM
+:func:`sum_closed` run the same per-sequence helpers for u and for v;
+:func:`sum_closed` reads tr(K^m) once for both and evaluates only the form
+it returns.  SUM
 and BINOM read one weighted term, y(t) = (ab)^floor(t/2) a^(zeta(t)+s) x(t)
 with s = -1 for u and 0 for v: it is 2K^t[2,1] for u and 2K^t[1,1] for v,
 and tr K = ab, det K = -abc.  Two facts about 2x2 matrices give both
@@ -607,32 +609,39 @@ def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) ->
     return Fraction(*_y_sum(p, xs, shift, [(t, 1) for t in range(r, m * n + r + 1, m)]))
 
 
-def _closed_sums(
-    p: Params, xs: TermTable, shift: int, m: int, n: int, r: int
-) -> tuple[Rational | None, Rational | None]:
-    """The corrected and the printed closed form of one partial sum, or None.
+def _closed_sum(
+    p: Params,
+    xs: TermTable,
+    shift: int,
+    m: int,
+    n: int,
+    r: int,
+    constants: tuple[_Ratio, _Ratio, _Ratio],
+    corrected: bool,
+) -> Rational | None:
+    """The corrected or the printed closed form of one partial sum, or None.
 
-    With tr(K^m) = t/one, (ab)^floor(m/2) = g/h and d the form's constant,
-    each is one :func:`_y_sum` on y(r), y(r+m), y(top), y(top+m): coefficients
-    (one - t, one, t - one, -one) over one d, and (g one - h t, h one,
-    -(g one + h t), h one) over g one d (see :func:`sum_closed`); None where d = 0.
+    ``constants`` is :func:`_constants` at m.  With tr(K^m) = t/one,
+    (ab)^floor(m/2) = g/h and d the form's constant, the form is one
+    :func:`_y_sum` on y(r), y(r+m), y(top), y(top+m): coefficients
+    (one - t, one, t - one, -one) over one d, or (g one - h t, h one,
+    -(g one + h t), h one) over g one d (see :func:`sum_closed`); None where
+    d = 0.
     """
-    tr, corrected, printed = _constants(p, m)
+    tr, d_corrected, d_printed = constants
     t, one = tr.num, tr.den
-    weight = _tables(p).tr_k ** (m // 2)
-    g, h = weight.num, weight.den
+    if corrected:
+        coefs, under = (one - t, one, t - one, -one), d_corrected * one
+    else:
+        weight = _tables(p).tr_k ** (m // 2)
+        g, h = weight.num, weight.den
+        coefs = (g * one - h * t, h * one, -(g * one + h * t), h * one)
+        under = d_printed * (g * one)
+    if under.num == 0:
+        return None
     top = m * n + m + r
-    indices = (r, r + m, top, top + m)
-
-    def closed(coefs: tuple[int, ...], under: _Ratio) -> Rational | None:
-        if under.num == 0:
-            return None
-        return _reduced(_Ratio(*_y_sum(p, xs, shift, list(zip(indices, coefs)))) / under)
-
-    return (
-        closed((one - t, one, t - one, -one), corrected * one),
-        closed((g * one - h * t, h * one, -(g * one + h * t), h * one), printed * (g * one)),
-    )
+    terms = list(zip((r, r + m, top, top + m), coefs))
+    return _reduced(_Ratio(*_y_sum(p, xs, shift, terms)) / under)
 
 
 def sum_direct(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
@@ -664,13 +673,13 @@ def sum_closed(
     """
     _validate_sum_indices(m, n, r)
     pt = _tables(p)
-    pick = 0 if corrected else 1
-    u_sum = _closed_sums(p, pt.u, -1, m, n, r)[pick]
+    constants = _constants(p, m)
+    u_sum = _closed_sum(p, pt.u, -1, m, n, r, constants, corrected)
     if u_sum is None:
         if corrected:
             raise SingularSeriesError("partial-sum constant det(I - K^m) is zero for this m")
         return None
-    return u_sum, _closed_sums(p, pt.v, 0, m, n, r)[pick]
+    return u_sum, _closed_sum(p, pt.v, 0, m, n, r, constants, corrected)
 
 
 def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
@@ -690,7 +699,9 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     xs, shift = (pt.u, -1) if seq == "u" else (pt.v, 0)
     direct = _direct_sum(p, xs, shift, m, n, r)
     # the oracle has raised SingularSeriesError where det(I - K^m) is zero
-    closed_value, printed_value = _closed_sums(p, xs, shift, m, n, r)
+    constants = _constants(p, m)
+    closed_value = _closed_sum(p, xs, shift, m, n, r, constants, True)
+    printed_value = _closed_sum(p, xs, shift, m, n, r, constants, False)
     return IdentityReport(
         IdentityId(Family.SUM, seq),
         p,
@@ -763,7 +774,9 @@ class SuiteConfig:
     from its family's least value up to ``max_index`` (or equal to that least
     value when it exceeds ``max_index``).  Passing ``params`` pins the
     parameter points (cycled through) instead of drawing them, which the index
-    draws still follow deterministically.
+    draws still follow deterministically.  An empty ``families`` or an empty
+    ``params`` would check nothing or pin nothing, and :func:`run_suite`
+    refuses both.
     """
 
     families: tuple[Family, ...] = tuple(Family)
@@ -873,10 +886,16 @@ def run_suite(config: SuiteConfig) -> SuiteSummary:
     parameter and index draws happen in a fixed order and reports are sorted
     by identity, in sample order within each.  Precondition failures (zero
     discriminant, zero series constant) become skip records, never failures.
-    A ``families`` entry that is not a :class:`Family` raises ``TypeError``.
+    A ``families`` entry that is not a :class:`Family` raises ``TypeError``;
+    an empty ``families`` or ``params``, ``samples`` < 1 or ``max_index`` < 1
+    raises ``ValueError``.
     """
     if not set(config.families) <= set(Family):
         raise TypeError(f"families must hold Family members: {', '.join(Family.__members__)}")
+    if not config.families:
+        raise ValueError("families must name at least one family")
+    if config.params is not None and not config.params:
+        raise ValueError("params, when given, must hold at least one point")
     if config.samples < 1:
         raise ValueError("samples must be >= 1")
     if config.max_index < 1:

@@ -230,6 +230,19 @@ class TestReflections:
             assert getattr(got, slot) == getattr(want, slot), slot
             assert type(getattr(got, slot)) is int, slot
 
+    @settings(max_examples=300)
+    @given(p=st.one_of(points, shared_points))
+    # mu = 5 and mu = 12, so U's start carries a factor mu > 1
+    @example(p=Params("1/2", 3, "-2/5", "1/3", 2))
+    @example(p=Params(6, "9/4", "-10/3", "1/3", 2))
+    def test_every_kind_is_w_from_its_initial_pair(self, p: Params) -> None:
+        for kind in SequenceKind:
+            got = _integer_point(p, kind)
+            want = _integer_point(Params(p.a, p.b, p.c, *initial_pair(p, kind)), W)
+            for slot in _IntegerPoint.__slots__:
+                assert getattr(got, slot) == getattr(want, slot), (kind, slot)
+                assert type(getattr(got, slot)) is int, (kind, slot)
+
     @pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda kind: kind.value)
     def test_mirror_table_at_the_rational_point(self, kind: SequenceKind) -> None:
         p = Params("1/2", 3, "-2/5", "1/3", 2)
@@ -328,7 +341,7 @@ class TestTermTable:
             for k in range(1, 201):
                 assert table.pair(-k)[1] == _scale(mirror, k), (kind, -k)
         # the rational point's W initial pair has a denominator M > 1
-        assert _integer_point(Params("1/2", 3, "-2/5", "1/3", 2), W).m0 > 1
+        assert _integer_point(Params("1/2", 3, "-2/5", "1/3", 2), W).m > 1
 
     @settings(max_examples=15, deadline=None)
     @given(p=shared_points, picks=st.lists(st.integers(-64, 700), max_size=6))
@@ -386,19 +399,17 @@ class TestTermTable:
 def scaled_numerators(draw: st.DrawFn) -> tuple[_IntegerPoint, int, int]:
     """A point's scale data, an index k >= 0 and a numerator to reduce over its scale.
 
-    m0 divides m, as at every point built by ``_integer_point``.  Half of the
-    numerators are lam^e mu^f q with e, f up to 64, so a common factor is
-    often a high prime power.
+    Half of the numerators are lam^e mu^f q with e, f up to 64, so a common
+    factor is often a high prime power.
     """
-    lam, mu, m0 = draw(st.integers(1, 36)), draw(st.integers(1, 36)), draw(st.integers(1, 12))
-    m = m0 * draw(st.integers(1, 12))
+    lam, mu, m = draw(st.integers(1, 36)), draw(st.integers(1, 36)), draw(st.integers(1, 144))
     k = draw(st.integers(0, 160))
     plain = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(2**300), 2**300))
     powers = st.builds(
         lambda e, f, q: lam**e * mu**f * q,
         st.integers(0, 64), st.integers(0, 64), st.integers(-(10**6), 10**6),
     )
-    return _IntegerPoint(lam, mu, m, m0, 1, 1, 1, 0, 1), k, draw(st.one_of(plain, powers))
+    return _IntegerPoint(lam, mu, m, 1, 1, 1, 0, 1), k, draw(st.one_of(plain, powers))
 
 
 class TestTerm:
@@ -407,7 +418,8 @@ class TestTerm:
     @given(case=scaled_numerators())
     def test_matches_public_constructor(self, case: tuple[_IntegerPoint, int, int]) -> None:
         pt, k, numer = case
-        built, public = _term(pt, k, numer), Fraction(numer, _scale(pt, k))
+        den = _scale(pt, k)
+        built, public = _term(pt, numer, den), Fraction(numer, den)
         assert (built.numerator, built.denominator) == (public.numerator, public.denominator)
         assert built == public and hash(built) == hash(public)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from biperiodic import identities
 from biperiodic.core import (
     DegenerateParametersError,
     Params,
@@ -609,6 +610,24 @@ class TestPartialSums:
                 y = _y_sum(p, xs, shift, [(t, 1)])
                 assert Fraction(*y) == 2 * getattr(mat_pow(k, t), entry), (kind, t)
 
+    def test_closed_sums_read_each_sum_once(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        # sum_closed: tr(K^m) once, then only the requested form for u and
+        # for v; the check: its direct sum, tr(K^m) once and its two forms
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _y_sum(*args)
+
+        monkeypatch.setattr(identities, "_y_sum", counted)
+        for corrected in (True, False):
+            calls.clear()
+            sum_closed(P_STAR, 2, 3, 1, corrected)
+            assert len(calls) == 3, corrected
+        calls.clear()
+        check_partial_sum(P_STAR, 2, 3, 1, "u")
+        assert len(calls) == 4
+
     @pytest.mark.parametrize("seq", ["u", "v"])
     def test_check_picks_from_the_pair_forms(self, seq: str) -> None:
         pick = 0 if seq == "u" else 1
@@ -823,6 +842,17 @@ class TestRunSuite:
     def test_invalid_samples_rejected(self) -> None:
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(samples=0))
+
+    @pytest.mark.parametrize(
+        ("config", "message"),
+        [(SuiteConfig(families=()), "families"), (SuiteConfig(params=()), "params")],
+        ids=["no-families", "no-params"],
+    )
+    def test_a_run_that_checks_or_pins_nothing_is_refused(
+        self, config: SuiteConfig, message: str
+    ) -> None:
+        with pytest.raises(ValueError, match=message):
+            run_suite(config)
 
     @given(seed=st.integers(0, 2**16))
     def test_any_seed_passes_small_run(self, seed: int) -> None:
