@@ -22,11 +22,14 @@ naive method) refuse any index beyond ``_NAIVE_INDEX_CAP`` (10^7) in absolute
 value with exit code 2, before any work is done.  ``verify`` refuses a
 ``--max-index`` above ``_VERIFY_INDEX_CAP`` (128) the same way: its work grows
 steeply with the index (``--suite all --samples 3`` at the default seed takes
-about 0.17 s at 64 and 0.50 s at 128 on 2 vCPUs).  It also refuses
+about 0.17 s at 64 and 0.53 s at 128 on 2 vCPUs).  It also refuses
 ``--samples`` above ``_VERIFY_SAMPLE_CAP`` (10^4): time and memory grow
 linearly with the samples, and every report is held until the run ends
 (``--suite all --samples 10000 --report json`` at the default index bound
-takes about 14 s and 370 MB on 2 vCPUs, for 39 MB of output).
+takes about 13 s and 340 MB on 2 vCPUs, for 39 MB of output).  ``bench``
+refuses a ``--repeat`` above ``_BENCH_REPEAT_CAP`` (1000) the same way: each
+repeat is one more timed call per index and method, and every timing is held
+until the median is taken.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = ["main", "run", "build_parser"]
 _NAIVE_INDEX_CAP = 10_000_000
 _VERIFY_INDEX_CAP = 128
 _VERIFY_SAMPLE_CAP = 10_000
+_BENCH_REPEAT_CAP = 1000
 _EXIT_BROKEN_PIPE = 141
 
 _SUITES: dict[str, tuple[Family, ...]] = {
@@ -241,13 +245,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.report == "json":
         payload = summary.to_dict()
         payload["suite"] = args.suite
-        print(json.dumps(payload))
+        # a fresh tree with no cycles, so the check would find nothing
+        print(json.dumps(payload, check_circular=False))
     else:
         _print_plain_verify(summary, args.suite)
     return 1 if summary.failed else 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.repeat > _BENCH_REPEAT_CAP:
+        raise CliError(
+            f"each repeat is one more timed call per index and method; "
+            f"refusing --repeat > {_BENCH_REPEAT_CAP}"
+        )
     params, kind = _resolve_sequence(args)
     methods = args.methods
     if Method.NAIVE in methods:
@@ -384,7 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=[Method.MATRIX, Method.DOUBLING],
         help="comma-separated subset of naive,matrix,doubling",
     )
-    bench.add_argument("--repeat", type=_positive_int, default=1)
+    bench.add_argument(
+        "--repeat",
+        type=_positive_int,
+        default=1,
+        help=f"timed calls per index and method (default 1, at most {_BENCH_REPEAT_CAP})",
+    )
     bench.add_argument("--format", choices=["plain", "json"], default="plain")
     bench.set_defaults(handler=cmd_bench)
 

@@ -244,14 +244,19 @@ def _start(
     return _IntegerPoint(lam, mu, m, a, b, c, x0.numerator * (m // x0d), x1n * (m // x1d))
 
 
-def _integer_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
-    """The integer point of p, started from the initial pair of ``kind``."""
-    x0, x1 = initial_pair(p, kind)
+def _coefficients(p: Params) -> tuple[int, int, int, int, int]:
+    """(lam, mu, A, B, C) of p's integer point, shared by every kind."""
     lam = p.a.denominator
     mu = math.lcm(p.b.denominator, p.c.denominator // math.gcd(p.c.denominator, lam))
     b = p.b.numerator * (mu // p.b.denominator)
     c = p.c.numerator * (lam * mu // p.c.denominator)
-    return _start(lam, mu, p.a.numerator, b, c, x0, x1.numerator, x1.denominator)
+    return lam, mu, p.a.numerator, b, c
+
+
+def _integer_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
+    """The integer point of p, started from the initial pair of ``kind``."""
+    x0, x1 = initial_pair(p, kind)
+    return _start(*_coefficients(p), x0, x1.numerator, x1.denominator)
 
 
 def _reflected_point(p: Params, kind: SequenceKind) -> _IntegerPoint:
@@ -334,11 +339,10 @@ class TermTable:
     """
 
     def __init__(self, p: Params, kind: SequenceKind) -> None:
-        self.params, self.kind = p, kind
-        self._walk_from(_integer_point(p, kind))
+        self._walk_from(p, kind, _integer_point(p, kind))
 
-    def _walk_from(self, pt: _IntegerPoint) -> None:
-        self._point = pt
+    def _walk_from(self, p: Params | None, kind: SequenceKind, pt: _IntegerPoint) -> None:
+        self.params, self.kind, self._point = p, kind, pt
         # (x'(k), scale(k)) for 0 <= k <= hi
         self._pairs = {0: (pt.x0, pt.m), 1: (pt.x1, pt.m * pt.mu)}
         self._hi = 1
@@ -367,8 +371,7 @@ class TermTable:
         mirror = self._mirror
         if mirror is None:
             # two threads may each build one; both hold equal values
-            mirror = object.__new__(TermTable)
-            mirror._walk_from(_reflected_point(self.params, self.kind))
+            mirror = _table(None, SequenceKind.W, _reflected_point(self.params, self.kind))
             self._mirror = mirror
         return mirror
 
@@ -386,6 +389,31 @@ class TermTable:
             den *= mu if k % 2 else lam
             pairs[k] = cur, den
             self._hi = k
+
+
+def _table(p: Params | None, kind: SequenceKind, pt: _IntegerPoint) -> TermTable:
+    """The table that walks from the integer point pt, which is p's of ``kind``.
+
+    A mirror table has no ``Params`` of its own (p is None): it is only read
+    at indices k >= 0, so it never reflects.
+    """
+    table = object.__new__(TermTable)
+    table._walk_from(p, kind, pt)
+    return table
+
+
+def _kind_tables(p: Params) -> tuple[TermTable, TermTable, TermTable]:
+    """``TermTable(p, kind)`` for U, V and W, from one derivation of p's integer point.
+
+    Only each kind's start, its initial pair and M, differs.
+    """
+    coefficients = _coefficients(p)
+
+    def table(kind: SequenceKind) -> TermTable:
+        x0, x1 = initial_pair(p, kind)
+        return _table(p, kind, _start(*coefficients, x0, x1.numerator, x1.denominator))
+
+    return table(SequenceKind.U), table(SequenceKind.V), table(SequenceKind.W)
 
 
 def term_range(p: Params, kind: SequenceKind, lo: int, hi: int) -> list[Rational]:

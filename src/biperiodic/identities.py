@@ -37,21 +37,28 @@ keyword that takes its sub-identity (``sub`` for L1/L2, ``seq`` for
 SUM/BINOM), its sub-identities, and the least value of each index in draw
 order.  Each index is drawn from its least value up to ``max_index``; the
 parameters come from a fixed grid, numerators in [-5, 5] and denominators in
-[1, 5].
+[1, 5].  Each call turns that table into a run plan once, one entry per
+(family, sub) with its checker, its index bounds, its keywords and one
+shared :class:`IdentityId`, whose text is rendered once; a check then only
+draws its indices and calls its checker.
 
 The checkers read u, v and w terms from one :class:`~biperiodic.core.TermTable`
 per sequence, held in a one-entry memo keyed by the parameter point.
 ``run_suite`` checks one point per sample, so every check of a sample reads
-the same three tables, and each term is walked once per sample.  L1, L2
-and the w families run on unreduced ratios num/den of ints, den > 0: they
-read each term as its table's pair (:meth:`~biperiodic.core.TermTable.pair`),
-multiply and add with no gcd, and build the two ``Fraction``s of a report
-once, at the end.  The memo also holds the point's constants as such
+the same three tables, and each term is walked once per sample.  The three
+tables come from one derivation of the point's integer point; only each
+kind's start differs.  L1, L2 and the w families run on unreduced ratios
+num/den of ints, den > 0: they read each term as its table's pair
+(:meth:`~biperiodic.core.TermTable.pair`), built into a ratio on its first
+read and shared by every later one, multiply and add with no gcd, decide
+``passed`` by cross-multiplying the two sides, and reduce each side once for
+the report.  The memo also holds the point's constants as such
 ratios: a, b, c, w0, w1, b/a and a/b (the parity weights (b/a)^e and
 (a/b)^e only take e = 0 or 1, so they are lookups), q = D/a^2 =
 b^2 + 4c(b/a), zero exactly where the discriminant D is, and the w
 invariant w1^2 - b w0 w1 - c (b/a) w0^2; and, for SUM and BINOM, ab = tr K
-as a reduced ratio.  A point hashes its fields once, on the first lookup (see
+as a reduced ratio.  SUM and BINOM reduce each reported value once, too.
+A point hashes its fields once, on the first lookup (see
 :class:`~biperiodic.core.Params`).  The geometric series of
 :func:`sum_oracle` stays independent of the tables, of the scalar closed
 form and of the fast routes: it multiplies pairs of ints that stand for
@@ -86,18 +93,12 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .core import (
-    DegenerateParametersError,
-    Params,
-    SequenceKind,
-    TermTable,
-    zeta,
-)
+from .core import DegenerateParametersError, Params, TermTable, _kind_tables, zeta
 from .exact import Rational, dataclass_repr, to_text
 from .exact import _coprime_fraction
 
@@ -151,19 +152,37 @@ _FAMILY_ORDER = {f: i for i, f in enumerate(Family)}
 
 @dataclass(frozen=True)
 class IdentityId:
-    """One verifiable identity: a family plus an optional sub-identity tag."""
+    """One verifiable identity: a family plus an optional sub-identity tag.
+
+    Its text and its sort key are computed on first use and kept.
+    """
 
     family: Family
     sub: int | str | None = None
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         if self.sub is None:
             return self.family.value
         return f"{self.family.value}.{self.sub}"
 
-    @property
+    @cached_property
     def sort_key(self) -> tuple[int, str]:
         return _FAMILY_ORDER[self.family], "" if self.sub is None else str(self.sub)
+
+
+_IDS: dict[tuple[Family, int | str | None], IdentityId] = {}
+
+
+def _identity(family: Family, sub: int | str | None = None) -> IdentityId:
+    """The one shared id of (family, sub), so its text is rendered once."""
+    ident = _IDS.get((family, sub))
+    if ident is None:
+        ident = _IDS[family, sub] = IdentityId(family, sub)
+    return ident
 
 
 def _params_dict(p: Params) -> dict[str, str]:
@@ -202,7 +221,7 @@ class IdentityReport:
 
     def _payload(self, params: dict[str, str]) -> dict:
         payload: dict = {
-            "id": str(self.id),
+            "id": self.id._text,
             "params": params,
             "indices": dict(self.indices),
             "lhs": to_text(self.lhs),
@@ -237,6 +256,8 @@ class _Ratio:
     Ratios multiply by ratios and by ints, add, subtract, negate, divide by
     nonzero ratios and take powers e >= 0 on ints only; no gcd is taken and
     no ``Fraction`` is built until :func:`_reduced` reduces a value once.
+    Every operation returns a new ratio and none changes one in place, so one
+    ratio may be shared by every check that reads it.
     """
 
     __slots__ = ("num", "den")
@@ -277,25 +298,34 @@ def _reduced(x: _Ratio) -> Rational:
     return _coprime_fraction(x.num // g, x.den // g)
 
 
-class _Ratios:
-    """The terms of one table as ratios: ``xs[k]`` is the table's pair at k."""
+class _Ratios(dict):
+    """The terms of one table as ratios: ``xs[k]`` is the table's pair at k.
+
+    The ratio at k is built on its first read and kept, so every check of
+    a point shares it, and a later read is a plain dict lookup.  Two threads
+    that race on one index each store an equal ratio.
+    """
 
     __slots__ = ("pair",)
 
     def __init__(self, table: TermTable) -> None:
         self.pair = table.pair
 
-    def __getitem__(self, k: int) -> _Ratio:
-        return _Ratio(*self.pair(k))
+    def __missing__(self, k: int) -> _Ratio:
+        x = self[k] = _Ratio(*self.pair(k))
+        return x
 
 
 class _Point:
     """The term tables and the scalar constants of one parameter point.
 
-    ``u``, ``v`` and ``w`` are the tables and ``us``, ``vs`` and ``ws`` their
-    terms as ratios.  The constants are those of the module docstring:
-    ``ba[e]`` and ``ab[e]`` are (b/a)^e and (a/b)^e for e = 0 and 1, and
-    ``w_inv`` is the w invariant; ``tr_k`` is tr K = ab, reduced.
+    ``u``, ``v`` and ``w`` are the tables, built from one derivation of the
+    point's integer point (:func:`~biperiodic.core._kind_tables`), and
+    ``us``, ``vs`` and ``ws`` their terms as ratios.  The constants are those
+    of the module docstring: ``ba[e]`` and ``ab[e]`` are (b/a)^e and (a/b)^e
+    for e = 0 and 1, unreduced ratios of the numerators and denominators, and
+    ``w_inv`` is the w invariant; ``tr_k`` is tr K = ab, reduced, since the
+    denominators of :func:`_y_sum` are built from it.
     """
 
     __slots__ = (
@@ -304,12 +334,12 @@ class _Point:
     )
 
     def __init__(self, p: Params) -> None:
-        self.u, self.v, self.w = (TermTable(p, kind) for kind in SequenceKind)
-        self.us, self.vs, self.ws = (_Ratios(table) for table in (self.u, self.v, self.w))
+        self.u, self.v, self.w = _kind_tables(p)
+        self.us, self.vs, self.ws = _Ratios(self.u), _Ratios(self.v), _Ratios(self.w)
         a, b, c, w0, w1 = (_ratio(x) for x in (p.a, p.b, p.c, p.w0, p.w1))
         self.a, self.b, self.c, self.w0, self.w1 = a, b, c, w0, w1
-        one, ba = _Ratio(1), _ratio(p.b / p.a)
-        self.ba, self.ab = (one, ba), (one, _ratio(p.a / p.b))
+        one, ba = _Ratio(1), b / a
+        self.ba, self.ab = (one, ba), (one, a / b)
         self.q = b * b + 4 * c * ba
         self.w_inv = w1 * w1 - b * w0 * w1 - c * ba * w0 * w0
         self.tr_k = _ratio(p.a * p.b)
@@ -322,15 +352,15 @@ def _tables(p: Params) -> _Point:
 
 
 def _report(
-    family: Family,
-    sub: int | str | None,
-    p: Params,
-    indices: dict[str, int],
-    lhs: _Ratio,
-    rhs: _Ratio,
+    ident: IdentityId, p: Params, indices: dict[str, int], lhs: _Ratio, rhs: _Ratio
 ) -> IdentityReport:
-    left, right = _reduced(lhs), _reduced(rhs)
-    return IdentityReport(IdentityId(family, sub), p, indices, left, right, left == right)
+    """The report of one check: ``passed`` by cross-multiplying the unreduced sides.
+
+    Both dens are positive, so lhs = rhs exactly where lhs.num rhs.den =
+    rhs.num lhs.den; each side is then reduced once for the report.
+    """
+    passed = lhs.num * rhs.den == rhs.num * lhs.den
+    return IdentityReport(ident, p, indices, _reduced(lhs), _reduced(rhs), passed)
 
 
 def check_u_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
@@ -347,7 +377,7 @@ def check_u_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
     if sub == 1:
         lhs = pt.ab[zeta(n)] * u[n] ** 2 - pt.ab[zeta(n + 1)] * u[n - 1] * u[n + 1]
         rhs = pt.ab[1] * (-pt.c) ** (n - 1)
-        return _report(Family.L1, sub, p, {"n": n}, lhs, rhs)
+        return _report(_identity(Family.L1, sub), p, {"n": n}, lhs, rhs)
     if sub == 2:
         lhs = ba[zeta(m * n + n)] * u[m] * u[n + 1] + ba[zeta(m * n + m)] * pt.c * u[n] * u[m - 1]
         rhs = u[n + m]
@@ -361,7 +391,7 @@ def check_u_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
             + pt.c * ba[zeta(m * n)] * u[m - 1] * u[n - m]
         )
         rhs = u[n]
-    return _report(Family.L1, sub, p, {"m": m, "n": n}, lhs, rhs)
+    return _report(_identity(Family.L1, sub), p, {"m": m, "n": n}, lhs, rhs)
 
 
 def check_uv_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
@@ -381,7 +411,7 @@ def check_uv_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
     if sub == 1:
         lhs = v[n] ** 2 - q * u[n] ** 2
         rhs = 4 * pt.ba[zeta(n)] * (-pt.c) ** n
-        return _report(Family.L2, sub, p, {"n": n}, lhs, rhs)
+        return _report(_identity(Family.L2, sub), p, {"n": n}, lhs, rhs)
     zz = zeta(n) * zeta(m)
     if sub == 2:
         lhs = v[m] * v[n] + q * u[m] * u[n]
@@ -401,7 +431,7 @@ def check_uv_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
     else:
         lhs = u[n + m] + (-pt.c) ** m * u[n - m]
         rhs = pt.ab[zz] * u[n] * v[m]
-    return _report(Family.L2, sub, p, {"m": m, "n": n}, lhs, rhs)
+    return _report(_identity(Family.L2, sub), p, {"m": m, "n": n}, lhs, rhs)
 
 
 def check_cassini(p: Params, n: int) -> IdentityReport:
@@ -412,7 +442,7 @@ def check_cassini(p: Params, n: int) -> IdentityReport:
     w, ba = pt.ws, pt.ba
     lhs = ba[zeta(n)] * w[n - 1] * w[n + 1] - ba[zeta(n + 1)] * w[n] ** 2
     rhs = (-1) ** n * pt.c ** (n - 1) * pt.w_inv
-    return _report(Family.CASSINI_W, None, p, {"n": n}, lhs, rhs)
+    return _report(_identity(Family.CASSINI_W), p, {"n": n}, lhs, rhs)
 
 
 def check_addition(p: Params, n: int, q: int) -> IdentityReport:
@@ -426,7 +456,7 @@ def check_addition(p: Params, n: int, q: int) -> IdentityReport:
         ba[zeta(n + 1) * zeta(q)] * u[n] * w[q + 1]
         + pt.c * ba[zeta(n) * zeta(q + 1)] * u[n - 1] * w[q]
     )
-    return _report(Family.ADDITION, None, p, {"n": n, "q": q}, lhs, rhs)
+    return _report(_identity(Family.ADDITION), p, {"n": n, "q": q}, lhs, rhs)
 
 
 def check_catalan(p: Params, n: int, pp: int, q: int) -> IdentityReport:
@@ -438,7 +468,7 @@ def check_catalan(p: Params, n: int, pp: int, q: int) -> IdentityReport:
     zpq = zeta(pp) * zeta(q)
     lhs = ba[zeta(n) * zpq] * w[n + pp] * w[n + q] - ba[zeta(n + 1) * zpq] * w[n] * w[n + pp + q]
     rhs = ba[zeta(n) * zeta(pp + 1) * zeta(q + 1)] * (-pt.c) ** n * u[pp] * u[q] * pt.w_inv
-    return _report(Family.CATALAN, None, p, {"n": n, "pp": pp, "q": q}, lhs, rhs)
+    return _report(_identity(Family.CATALAN), p, {"n": n, "pp": pp, "q": q}, lhs, rhs)
 
 
 def check_product_sum(p: Params, m: int, n: int) -> IdentityReport:
@@ -449,7 +479,7 @@ def check_product_sum(p: Params, m: int, n: int) -> IdentityReport:
     w, ba = pt.ws, pt.ba
     lhs = ba[zeta(m * n + n)] * w[n + 1] * w[m] + ba[zeta(m * n + m)] * pt.c * w[n] * w[m - 1]
     rhs = pt.w1 * w[m + n] + ba[zeta(m + n)] * pt.c * pt.w0 * w[m + n - 1]
-    return _report(Family.PRODSUM, None, p, {"m": m, "n": n}, lhs, rhs)
+    return _report(_identity(Family.PRODSUM), p, {"m": m, "n": n}, lhs, rhs)
 
 
 def check_square_sum(p: Params, n: int) -> IdentityReport:
@@ -460,7 +490,7 @@ def check_square_sum(p: Params, n: int) -> IdentityReport:
     w, ba = pt.ws, pt.ba
     lhs = ba[zeta(n)] * w[n + 1] ** 2 + ba[zeta(n + 1)] * pt.c * w[n] ** 2
     rhs = pt.w1 * w[2 * n + 1] + ba[1] * pt.c * pt.w0 * w[2 * n]
-    return _report(Family.COR31, None, p, {"n": n}, lhs, rhs)
+    return _report(_identity(Family.COR31), p, {"n": n}, lhs, rhs)
 
 
 def check_square_difference(p: Params, n: int) -> IdentityReport:
@@ -471,7 +501,7 @@ def check_square_difference(p: Params, n: int) -> IdentityReport:
     w = pt.ws
     lhs = w[n + 1] ** 2 - pt.c * pt.c * w[n - 1] ** 2
     rhs = pt.a ** zeta(n) * pt.b ** zeta(n + 1) * (pt.w1 * w[2 * n] + pt.c * pt.w0 * w[2 * n - 1])
-    return _report(Family.T34, None, p, {"n": n}, lhs, rhs)
+    return _report(_identity(Family.T34), p, {"n": n}, lhs, rhs)
 
 
 def _constants(p: Params, m: int) -> tuple[_Ratio, _Ratio, _Ratio]:
@@ -604,9 +634,9 @@ def _y_sum(p: Params, xs: TermTable, shift: int, terms: list[tuple[int, int]]) -
     return (num, den) if den > 0 else (-num, -den)
 
 
-def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> Rational:
-    """One weighted partial sum, y(r) + y(m + r) + ... + y(mn + r), as a ``Fraction``."""
-    return Fraction(*_y_sum(p, xs, shift, [(t, 1) for t in range(r, m * n + r + 1, m)]))
+def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> _Ratio:
+    """One weighted partial sum, y(r) + y(m + r) + ... + y(mn + r), unreduced."""
+    return _Ratio(*_y_sum(p, xs, shift, [(t, 1) for t in range(r, m * n + r + 1, m)]))
 
 
 def _closed_sum(
@@ -649,11 +679,12 @@ def sum_direct(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
 
     u-sum: sum over j = 0..n of (ab)^floor((mj+r)/2) a^(zeta(mj+r)-1) u(mj+r);
     the v-sum carries a^zeta(mj+r) instead.  Each sum is added on ints over
-    one denominator and built as one ``Fraction``.
+    one denominator and reduced once.
     """
     _validate_sum_indices(m, n, r)
     pt = _tables(p)
-    return _direct_sum(p, pt.u, -1, m, n, r), _direct_sum(p, pt.v, 0, m, n, r)
+    u_sum, v_sum = _direct_sum(p, pt.u, -1, m, n, r), _direct_sum(p, pt.v, 0, m, n, r)
+    return _reduced(u_sum), _reduced(v_sum)
 
 
 def sum_closed(
@@ -697,13 +728,13 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     oracle = sum_oracle(p, m, n, r)[0 if seq == "u" else 1]
     pt = _tables(p)
     xs, shift = (pt.u, -1) if seq == "u" else (pt.v, 0)
-    direct = _direct_sum(p, xs, shift, m, n, r)
+    direct = _reduced(_direct_sum(p, xs, shift, m, n, r))
     # the oracle has raised SingularSeriesError where det(I - K^m) is zero
     constants = _constants(p, m)
     closed_value = _closed_sum(p, xs, shift, m, n, r, constants, True)
     printed_value = _closed_sum(p, xs, shift, m, n, r, constants, False)
     return IdentityReport(
-        IdentityId(Family.SUM, seq),
+        _identity(Family.SUM, seq),
         p,
         {"m": m, "n": n, "r": r},
         direct,
@@ -737,8 +768,10 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
 
     The right side is the Cayley-Hamilton expansion of y(mn+r) in the module
     docstring, one :func:`_y_sum` with integer coefficients, over the weight
-    of y at mn+r.  :func:`delta_weight` is the per-summand reference for it;
-    m >= 2, n >= 0, r >= 0.
+    (ab)^floor((mn+r)/2) a^e of y at mn+r, on ratios and reduced once; the
+    two coefficients of K^m are each reduced once first, since their n-th
+    powers scale the sum.  :func:`delta_weight` is the per-summand reference
+    for it; m >= 2, n >= 0, r >= 0.
     """
     if seq not in ("u", "v"):
         raise ValueError(f"seq must be 'u' or 'v', not {seq!r}")
@@ -747,18 +780,21 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
     target = m * n + r
     pt = _tables(p)
     xs, shift = (pt.u, -1) if seq == "u" else (pt.v, 0)
-    # the coefficients of K^m = y_u(m) K + abc y_u(m-1) I, over one denominator d
-    head = Fraction(*_y_sum(p, pt.u, -1, [(m, 1)]))
-    tail = p.a * p.b * p.c * Fraction(*_y_sum(p, pt.u, -1, [(m - 1, 1)]))
+    # the coefficients of K^m = y_u(m) K + abc y_u(m-1) I, each reduced once,
+    # over one denominator d: their n-th powers scale every coefficient below
+    head = _reduced(_Ratio(*_y_sum(p, pt.u, -1, [(m, 1)])))
+    tail = _reduced(pt.tr_k * pt.c * _Ratio(*_y_sum(p, pt.u, -1, [(m - 1, 1)])))
     d = math.lcm(head.denominator, tail.denominator)
     heads = accumulate(repeat(head.numerator * (d // head.denominator), n), mul, initial=1)
     tails = list(accumulate(repeat(tail.numerator * (d // tail.denominator), n), mul, initial=1))
     terms = [(i + r, math.comb(n, i) * head_i * tails[n - i]) for i, head_i in enumerate(heads)]
     num, den = _y_sum(p, xs, shift, terms)
-    weight = (p.a * p.b) ** (target // 2) * p.a ** (zeta(target) + shift)
-    lhs, rhs = xs[target], Fraction(num, den * d**n) / weight
+    # the weight of y at the target, (ab)^floor(target/2) a^e with e in {-1, 0, 1}
+    e = zeta(target) + shift
+    weight = pt.tr_k ** (target // 2) * (pt.a**e if e >= 0 else _Ratio(1) / pt.a)
+    lhs, rhs = xs[target], _reduced(_Ratio(num, den * d**n) / weight)
     return IdentityReport(
-        IdentityId(Family.BINOM, seq), p, {"m": m, "n": n, "r": r}, lhs, rhs, lhs == rhs
+        _identity(Family.BINOM, seq), p, {"m": m, "n": n, "r": r}, lhs, rhs, lhs == rhs
     )
 
 
@@ -799,7 +835,7 @@ class SkipRecord:
         return self._payload(_params_dict(self.params))
 
     def _payload(self, params: dict[str, str]) -> dict:
-        return {"id": str(self.id), "sample": self.sample, "reason": self.reason, "params": params}
+        return {"id": self.id._text, "sample": self.sample, "reason": self.reason, "params": params}
 
 
 @dataclass
@@ -863,8 +899,8 @@ class _Spec(NamedTuple):
     floors: dict[str, int]  # least value of each index keyword, in draw order
 
 
-# Checkers are named rather than bound and looked up at each call, so a
-# wrapper set over a module attribute also sees the suite's calls.
+# Checkers are named rather than bound and looked up at each run_suite call,
+# so a wrapper set over a module attribute before the call sees its checks.
 _FAMILIES: dict[Family, _Spec] = {
     Family.L1: _Spec("check_u_identity", "sub", (1, 2, 3, 4), {"m": 1, "n": 1}),
     Family.L2: _Spec("check_uv_identity", "sub", (1, 2, 3, 4, 5, 6, 7), {"m": 1, "n": 1}),
@@ -889,6 +925,11 @@ def run_suite(config: SuiteConfig) -> SuiteSummary:
     A ``families`` entry that is not a :class:`Family` raises ``TypeError``;
     an empty ``families`` or ``params``, ``samples`` < 1 or ``max_index`` < 1
     raises ``ValueError``.
+
+    The call first builds its run plan, one entry per (family, sub): the
+    shared :class:`IdentityId`, the checker looked up by name, each index
+    with its draw bounds, and the sub-identity's keywords.  A check then
+    only draws its indices and calls its checker.
     """
     if not set(config.families) <= set(Family):
         raise TypeError(f"families must hold Family members: {', '.join(Family.__members__)}")
@@ -901,7 +942,16 @@ def run_suite(config: SuiteConfig) -> SuiteSummary:
     if config.max_index < 1:
         raise ValueError("max_index must be >= 1")
     families = tuple(f for f in Family if f in set(config.families))
+    top, plan = config.max_index, []
+    for family in families:
+        spec = _FAMILIES[family]
+        checker = globals()[spec.checker]
+        bounds = tuple((name, least, max(least, top)) for name, least in spec.floors.items())
+        for sub in spec.subs:
+            keyword = {} if spec.keyword is None else {spec.keyword: sub}
+            plan.append((_identity(family, sub), checker, bounds, keyword))
     rng = random.Random(config.seed)
+    randint = rng.randint
     results: list[IdentityReport] = []
     skipped: list[SkipRecord] = []
     for sample in range(config.samples):
@@ -909,18 +959,12 @@ def run_suite(config: SuiteConfig) -> SuiteSummary:
             p = config.params[sample % len(config.params)]
         else:
             p = _draw_params(rng)
-        for family in families:
-            spec = _FAMILIES[family]
-            for sub in spec.subs:
-                idx = {
-                    name: rng.randint(least, max(least, config.max_index))
-                    for name, least in spec.floors.items()
-                }
-                keyword = {} if spec.keyword is None else {spec.keyword: sub}
-                try:
-                    results.append(globals()[spec.checker](p, **idx, **keyword))
-                except (DegenerateParametersError, SingularSeriesError) as exc:
-                    skipped.append(SkipRecord(IdentityId(family, sub), sample, str(exc), p))
+        for ident, checker, bounds, keyword in plan:
+            idx = {name: randint(least, most) for name, least, most in bounds}
+            try:
+                results.append(checker(p, **idx, **keyword))
+            except (DegenerateParametersError, SingularSeriesError) as exc:
+                skipped.append(SkipRecord(ident, sample, str(exc), p))
     # stable sorts: within one identity the records stay in sample order
     results.sort(key=lambda rep: rep.id.sort_key)
     skipped.sort(key=lambda rec: rec.id.sort_key)

@@ -367,6 +367,23 @@ class TestBench:
     def test_zero_index_rejected(self) -> None:
         assert main(["bench", "--seq", "fibonacci", "--n-list", "0"]) == 2
 
+    @pytest.mark.parametrize("excess", [1, 10**9])
+    def test_repeat_cap_exit_2(
+        self, excess: int, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        monkeypatch.setattr(cli, "term_fast", refuse_work)
+        repeat = cli._BENCH_REPEAT_CAP + excess
+        assert main(["bench", "--seq", "fibonacci", "--n-list", "1", "--repeat", str(repeat)]) == 2
+        assert "refusing --repeat" in capsys.readouterr().err
+
+    def test_repeat_cap_itself_runs_and_is_in_help(self, capsys: pytest.CaptureFixture[str]) -> None:
+        cap = cli._BENCH_REPEAT_CAP
+        args = ["bench", "--seq", "fibonacci", "--n-list", "1", "--repeat", str(cap), "--format", "json"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["repeat"] == cap
+        assert main(["bench", "--help"]) == 0
+        assert f"(default 1, at most {cap})" in " ".join(capsys.readouterr().out.split())
+
     def test_timed_calls_carry_no_counter(
         self, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
     ) -> None:

@@ -16,6 +16,7 @@ from biperiodic.core import (
     Params,
     SequenceKind,
     TermTable,
+    _kind_tables,
     discriminant,
     table_notation,
     term_naive,
@@ -29,8 +30,12 @@ from biperiodic.identities import (
     SkipRecord,
     SumConstants,
     SuiteConfig,
+    _identity,
     _k_algebra,
     _pair_pow,
+    _Point,
+    _Ratio,
+    _report,
     _tables,
     _validate_sum_indices,
     _y_sum,
@@ -265,6 +270,70 @@ class TestIdentityId:
         ]
         ordered = sorted(ids, key=lambda i: i.sort_key)
         assert [str(i) for i in ordered] == ["L1.1", "L1.2", "SUM.v", "T34"]
+
+
+class TestPoint:
+    """One derivation of a point's integer point gives the tables and constants."""
+
+    @given(p=grid_points)
+    @example(p=P_STAR)
+    @example(p=DEGENERATE)
+    @example(p=RATIONAL_W)
+    def test_tables_ratios_and_shared_reads(self, p: Params) -> None:
+        pt = _Point(p)
+        assert (pt.u.kind, pt.v.kind, pt.w.kind) == tuple(SequenceKind)
+        for kind, table, ratios in zip(SequenceKind, _kind_tables(p), (pt.us, pt.vs, pt.ws)):
+            assert (table.params, table.kind) == (p, kind)
+            fresh = TermTable(p, kind)
+            for k in range(-30, 61):  # the reads below 0 build the mirror tables
+                assert table.pair(k) == fresh.pair(k), (kind, k)
+                assert table[k] == fresh[k], (kind, k)
+            assert table._mirror is not None
+            for k in (-7, 0, 5):
+                assert ratios[k] is ratios[k]
+                assert Fraction(ratios[k].num, ratios[k].den) == fresh[k]
+        assert Fraction(pt.ba[1].num, pt.ba[1].den) == p.b / p.a
+        assert Fraction(pt.ab[1].num, pt.ab[1].den) == p.a / p.b
+        assert pt.ba[1].den > 0 and pt.ab[1].den > 0
+
+
+class TestReport:
+    unreduced = st.tuples(st.integers(-40, 40), st.integers(1, 40), st.integers(1, 12))
+
+    @given(left=unreduced, right=unreduced, same=st.booleans())
+    @example(left=(0, 3, 1), right=(0, 7, 5), same=False)
+    @example(left=(-2, 3, 4), right=(2, 3, 4), same=False)
+    @example(left=(-6, 4, 3), right=(-3, 2, 1), same=False)
+    def test_passed_by_cross_multiplication(
+        self, left: tuple[int, int, int], right: tuple[int, int, int], same: bool
+    ) -> None:
+        if same:  # the value of left over another shared factor
+            right = (left[0], left[1], right[2])
+        (ln, ld, lg), (rn, rd, rg) = left, right
+        lhs, rhs = _Ratio(ln * lg, ld * lg), _Ratio(rn * rg, rd * rg)
+        report = _report(_identity(Family.L1, 1), P_STAR, {"n": 1}, lhs, rhs)
+        assert report.passed is (Fraction(ln, ld) == Fraction(rn, rd))
+        assert report.lhs == Fraction(ln, ld) and report.rhs == Fraction(rn, rd)
+        assert report.to_dict()["pass"] is report.passed
+
+    def test_an_altered_term_fails(self) -> None:
+        _tables.cache_clear()
+        try:
+            assert check_cassini(P_STAR, 1).passed
+            ws = _tables(P_STAR).ws
+            ws[2] = ws[2] + _Ratio(1)
+            report = check_cassini(P_STAR, 1)
+            assert report.passed is False
+            assert report.to_dict()["pass"] is False
+        finally:
+            _tables.cache_clear()
+
+    def test_checks_share_one_id(self) -> None:
+        first, second = check_uv_identity(P_STAR, 2, 1, 3), check_uv_identity(P_STAR, 2, 3, 1)
+        assert first.id is second.id is _identity(Family.L2, 2)
+        assert check_cassini(P_STAR, 2).id is _identity(Family.CASSINI_W)
+        fresh = IdentityId(Family.L2, 2)
+        assert fresh == first.id and fresh is not first.id and str(fresh) == "L2.2"
 
 
 class TestUIdentities:
@@ -747,6 +816,28 @@ class TestRunSuite:
         one = run_suite(SuiteConfig(samples=10, seed=1)).to_dict()
         two = run_suite(SuiteConfig(samples=10, seed=2)).to_dict()
         assert one != two
+
+    def test_checkers_are_looked_up_at_each_call(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        # a tracer swaps wrappers over the module attributes before run_suite
+        config = SuiteConfig(samples=5, seed=8, max_index=6)
+        plain = run_suite(config)
+        calls: dict[str, int] = {}
+
+        def counting(name: str):
+            real = getattr(identities, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("check_cassini", "check_uv_identity"):
+            monkeypatch.setattr(identities, name, counting(name))
+        wrapped = run_suite(config)
+        assert calls == {"check_cassini": 5, "check_uv_identity": 7 * 5}
+        assert wrapped.results == plain.results and wrapped.skipped == plain.skipped
+        assert wrapped.to_dict() == plain.to_dict()
 
     def test_results_in_family_order(self) -> None:
         summary = run_suite(SuiteConfig(samples=4, seed=5))
