@@ -69,21 +69,25 @@ A SUM check sums only its own sequence: one direct sum, and one corrected
 and one printed closed form.  The pair-returning :func:`sum_direct` and
 :func:`sum_closed` run the same per-sequence helpers for u and for v;
 :func:`sum_closed` reads tr(K^m) once for both and evaluates only the form
-it returns.  SUM
-and BINOM read one weighted term, y(t) = (ab)^floor(t/2) a^(zeta(t)+s) x(t)
-with s = -1 for u and 0 for v: it is 2K^t[2,1] for u and 2K^t[1,1] for v,
-and tr K = ab, det K = -abc.  Two facts about 2x2 matrices give both
-families.  By Cayley-Hamilton, K^m = y_u(m) K + abc y_u(m-1) I, whose n-th
-power times K^r is BINOM: y(mn+r) = sum_i C(n,i) y_u(m)^i (abc y_u(m-1))^(n-i)
-y(i+r).  The adjugate is adj(X) = tr(X) I - X, so adj(I - K^m) =
-(1 - tr(K^m)) I + K^m, with tr(K^m) = y_v(m), and the series
-(I - K^m)^-1 (K^r - K^top), top = m(n+1) + r, is the corrected closed form
+it returns.  SUM and BINOM read one weighted term,
+y(t) = (ab)^floor(t/2) a^(zeta(t)+s) x(t) with s = -1 for u and 0 for v,
+which is 2K^t[2,1] for u and 2K^t[1,1] for v.  As tr K = ab and
+det K = -abc, y(t+2) = ab y(t+1) + abc y(t): y_u and y_v are kinds U and V
+at (ab, ab, abc), the sequences of the companion A of
+:mod:`~biperiodic.matforms`, in two term tables built on a point's first
+SUM or BINOM check.  Two facts about 2x2 matrices give both families.  By
+Cayley-Hamilton, K^m = y_u(m) K + abc y_u(m-1) I, whose n-th power times K^r
+is BINOM: y(mn+r) = sum_i C(n,i) y_u(m)^i (abc y_u(m-1))^(n-i) y(i+r).  The
+adjugate is adj(X) = tr(X) I - X, so adj(I - K^m) = (1 - tr(K^m)) I + K^m,
+with tr(K^m) = y_v(m), and the series (I - K^m)^-1 (K^r - K^top),
+top = m(n+1) + r, is the corrected closed form
 
     ((1 - tr(K^m)) (y(r) - y(top)) + y(r+m) - y(top+m)) / det(I - K^m),
 
 which reads y at t >= 0 only, with det(I - K^m) = 1 - tr(K^m) + (ab)^m (-c)^m.
-:func:`_y_sum` adds int coef times y(t) over ascending t >= 0 from table pairs:
-tr(K^m), the direct sum and each closed-form numerator are one such sum.
+:func:`_y_sum` adds int coef times y'(t) over ascending t >= 0, over the y
+table's scale: the direct sum, each closed-form numerator and BINOM's
+expansion are one such sum.
 """
 
 from __future__ import annotations
@@ -325,12 +329,14 @@ class _Point:
     of the module docstring: ``ba[e]`` and ``ab[e]`` are (b/a)^e and (a/b)^e
     for e = 0 and 1, unreduced ratios of the numerators and denominators, and
     ``w_inv`` is the w invariant; ``tr_k`` is tr K = ab, reduced, since the
-    denominators of :func:`_y_sum` are built from it.
+    powers of ab in SUM's constants and in BINOM's weight are built from it.
+    ``ys`` holds the y tables of SUM and BINOM; L1, L2 and the w families
+    never build them.
     """
 
     __slots__ = (
         "u", "v", "w", "us", "vs", "ws", "a", "b", "c", "w0", "w1", "ba", "ab", "q", "w_inv",
-        "tr_k",
+        "tr_k", "_ys",
     )
 
     def __init__(self, p: Params) -> None:
@@ -343,6 +349,15 @@ class _Point:
         self.q = b * b + 4 * c * ba
         self.w_inv = w1 * w1 - b * w0 * w1 - c * ba * w0 * w0
         self.tr_k = _ratio(p.a * p.b)
+        self._ys: tuple[TermTable, TermTable] | None = None
+
+    @property
+    def ys(self) -> tuple[TermTable, TermTable]:
+        """(y_u, y_v), kinds U and V at (ab, ab, abc), built on the first read."""
+        if self._ys is None:  # two threads that race here each build equal tables
+            ab = _reduced(self.tr_k)
+            self._ys = _kind_tables(Params(ab, ab, _reduced(self.tr_k * self.c)))[:2]
+        return self._ys
 
 
 @lru_cache(maxsize=1)
@@ -512,7 +527,7 @@ def _constants(p: Params, m: int) -> tuple[_Ratio, _Ratio, _Ratio]:
     :func:`sum_constants` is 1 - tr / (ab)^floor(m/2) + (ab)^z (-c)^m.
     """
     pt = _tables(p)
-    tr = _Ratio(*_y_sum(p, pt.v, 0, [(m, 1)]))
+    tr = _Ratio(*pt.ys[1].pair(m))
     c_m = (-pt.c) ** m
     corrected = _Ratio(1) - tr + pt.tr_k**m * c_m
     printed = _Ratio(1) - tr / pt.tr_k ** (m // 2) + pt.tr_k ** zeta(m) * c_m
@@ -602,47 +617,31 @@ def sum_oracle(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
     return Fraction(2 * y * scale, den), Fraction(2 * x, den)
 
 
-# y(t) of the u-sum and of the v-sum differ only in their table and in a
-# shift, -1 and 0, of the exponent of a.  With ab = g/h and a = alpha/beta, the
-# weight of term t >= 0 is g^floor(t/2) A over h^floor(t/2) alpha beta, where
-# A = weights[e + 1] = beta^2, alpha beta or alpha^2 for the exponents e = -1,
-# 0 and 1 of a.
-
-
-def _y_sum(p: Params, xs: TermTable, shift: int, terms: list[tuple[int, int]]) -> tuple[int, int]:
+def _y_sum(ys: TermTable, terms: list[tuple[int, int]]) -> tuple[int, int]:
     """The sum of coef y(t) over (t, coef) in ascending t >= 0, as (num, den), den > 0.
 
-    The sum runs on ints over the denominator s_T h^floor(T/2) |alpha| beta
-    of its last index T, where s_T is the table's scale at T (see
-    :meth:`~biperiodic.core.TermTable.pair`), which every earlier scale
-    divides.  An index may repeat.  The pair is not reduced.
+    ``ys`` is a y table; its pair at t is (y'(t), scale(t)), and every scale
+    is positive and divides the next (see
+    :meth:`~biperiodic.core.TermTable.pair`), so the sum runs on ints over
+    the scale of its last index.  An index may repeat.  The pair is not
+    reduced.
     """
-    pt = _tables(p)
-    g, h = pt.tr_k.num, pt.tr_k.den
-    alpha, beta = pt.a.num, pt.a.den
-    weights = beta * beta, alpha * beta, alpha * alpha
-    # num is the sum so far over den h^half alpha beta, den the table's at t
-    num, den, half, g_half = 0, 1, 0, 1
+    num, den = 0, 1
     for t, coef in terms:
-        x, x_den = xs.pair(t)
-        step = t // 2 - half
-        half += step
-        g_half *= g**step
-        num = num * h**step * (x_den // den) + g_half * (coef * weights[zeta(t) + shift + 1]) * x
-        den = x_den
-    den *= h**half * weights[1]
-    return (num, den) if den > 0 else (-num, -den)
+        y, y_den = ys.pair(t)
+        num = num * (y_den // den) + coef * y
+        den = y_den
+    return num, den
 
 
-def _direct_sum(p: Params, xs: TermTable, shift: int, m: int, n: int, r: int) -> _Ratio:
+def _direct_sum(ys: TermTable, m: int, n: int, r: int) -> _Ratio:
     """One weighted partial sum, y(r) + y(m + r) + ... + y(mn + r), unreduced."""
-    return _Ratio(*_y_sum(p, xs, shift, [(t, 1) for t in range(r, m * n + r + 1, m)]))
+    return _Ratio(*_y_sum(ys, [(t, 1) for t in range(r, m * n + r + 1, m)]))
 
 
 def _closed_sum(
     p: Params,
-    xs: TermTable,
-    shift: int,
+    ys: TermTable,
     m: int,
     n: int,
     r: int,
@@ -671,7 +670,7 @@ def _closed_sum(
         return None
     top = m * n + m + r
     terms = list(zip((r, r + m, top, top + m), coefs))
-    return _reduced(_Ratio(*_y_sum(p, xs, shift, terms)) / under)
+    return _reduced(_Ratio(*_y_sum(ys, terms)) / under)
 
 
 def sum_direct(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
@@ -682,9 +681,8 @@ def sum_direct(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
     one denominator and reduced once.
     """
     _validate_sum_indices(m, n, r)
-    pt = _tables(p)
-    u_sum, v_sum = _direct_sum(p, pt.u, -1, m, n, r), _direct_sum(p, pt.v, 0, m, n, r)
-    return _reduced(u_sum), _reduced(v_sum)
+    y_u, y_v = _tables(p).ys
+    return _reduced(_direct_sum(y_u, m, n, r)), _reduced(_direct_sum(y_v, m, n, r))
 
 
 def sum_closed(
@@ -703,14 +701,14 @@ def sum_closed(
     (w - tr(K^m)) y(r) + y(r+m) - (w + tr(K^m)) y(top) + y(top+m).
     """
     _validate_sum_indices(m, n, r)
-    pt = _tables(p)
+    y_u, y_v = _tables(p).ys
     constants = _constants(p, m)
-    u_sum = _closed_sum(p, pt.u, -1, m, n, r, constants, corrected)
+    u_sum = _closed_sum(p, y_u, m, n, r, constants, corrected)
     if u_sum is None:
         if corrected:
             raise SingularSeriesError("partial-sum constant det(I - K^m) is zero for this m")
         return None
-    return u_sum, _closed_sum(p, pt.v, 0, m, n, r, constants, corrected)
+    return u_sum, _closed_sum(p, y_v, m, n, r, constants, corrected)
 
 
 def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
@@ -726,13 +724,12 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
         raise ValueError(f"seq must be 'u' or 'v', not {seq!r}")
     _validate_sum_indices(m, n, r)
     oracle = sum_oracle(p, m, n, r)[0 if seq == "u" else 1]
-    pt = _tables(p)
-    xs, shift = (pt.u, -1) if seq == "u" else (pt.v, 0)
-    direct = _reduced(_direct_sum(p, xs, shift, m, n, r))
+    ys = _tables(p).ys[0 if seq == "u" else 1]
+    direct = _reduced(_direct_sum(ys, m, n, r))
     # the oracle has raised SingularSeriesError where det(I - K^m) is zero
     constants = _constants(p, m)
-    closed_value = _closed_sum(p, xs, shift, m, n, r, constants, True)
-    printed_value = _closed_sum(p, xs, shift, m, n, r, constants, False)
+    closed_value = _closed_sum(p, ys, m, n, r, constants, True)
+    printed_value = _closed_sum(p, ys, m, n, r, constants, False)
     return IdentityReport(
         _identity(Family.SUM, seq),
         p,
@@ -779,16 +776,17 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
         raise ValueError("binomial expansion needs m >= 2, n >= 0, r >= 0")
     target = m * n + r
     pt = _tables(p)
-    xs, shift = (pt.u, -1) if seq == "u" else (pt.v, 0)
+    y_u, y_v = pt.ys
+    xs, ys, shift = (pt.u, y_u, -1) if seq == "u" else (pt.v, y_v, 0)
     # the coefficients of K^m = y_u(m) K + abc y_u(m-1) I, each reduced once,
     # over one denominator d: their n-th powers scale every coefficient below
-    head = _reduced(_Ratio(*_y_sum(p, pt.u, -1, [(m, 1)])))
-    tail = _reduced(pt.tr_k * pt.c * _Ratio(*_y_sum(p, pt.u, -1, [(m - 1, 1)])))
+    head = y_u[m]
+    tail = _reduced(pt.tr_k * pt.c * _Ratio(*y_u.pair(m - 1)))
     d = math.lcm(head.denominator, tail.denominator)
     heads = accumulate(repeat(head.numerator * (d // head.denominator), n), mul, initial=1)
     tails = list(accumulate(repeat(tail.numerator * (d // tail.denominator), n), mul, initial=1))
     terms = [(i + r, math.comb(n, i) * head_i * tails[n - i]) for i, head_i in enumerate(heads)]
-    num, den = _y_sum(p, xs, shift, terms)
+    num, den = _y_sum(ys, terms)
     # the weight of y at the target, (ab)^floor(target/2) a^e with e in {-1, 0, 1}
     e = zeta(target) + shift
     weight = pt.tr_k ** (target // 2) * (pt.a**e if e >= 0 else _Ratio(1) / pt.a)

@@ -296,6 +296,22 @@ class TestPoint:
         assert Fraction(pt.ab[1].num, pt.ab[1].den) == p.a / p.b
         assert pt.ba[1].den > 0 and pt.ab[1].den > 0
 
+    def test_y_tables_are_built_on_the_first_sum(self) -> None:
+        _tables.cache_clear()
+        try:
+            check_u_identity(P_STAR, 2, 3, 4)
+            check_uv_identity(P_STAR, 2, 3, 4)
+            check_cassini(P_STAR, 3)
+            pt = _tables(P_STAR)
+            assert pt._ys is None
+            check_partial_sum(P_STAR, 2, 3, 1, "u")
+            assert _tables(P_STAR) is pt and pt._ys is not None
+            y_u, y_v = pt._ys
+            check_partial_sum(P_STAR, 3, 2, 0, "v")
+            assert pt.ys[0] is y_u and pt.ys[1] is y_v
+        finally:
+            _tables.cache_clear()
+
 
 class TestReport:
     unreduced = st.tuples(st.integers(-40, 40), st.integers(1, 40), st.integers(1, 12))
@@ -659,11 +675,10 @@ class TestPartialSums:
     @given(p=grid_points)
     @example(p=Params(Fraction(-5, 3), Fraction(-5, 4), 1))
     def test_y_sum_denominator_is_positive(self, p: Params) -> None:
-        for kind in SequenceKind:
-            xs = TermTable(p, kind)
-            for shift in (-1, 0):
-                for t in range(25):
-                    assert _y_sum(p, xs, shift, [(t, 1)])[1] > 0, (kind, shift, t)
+        for seq, ys in zip("uv", _Point(p).ys):
+            for t in range(25):
+                assert _y_sum(ys, [(t, 1)])[1] > 0, (seq, t)
+            assert _y_sum(ys, [(t, -1) for t in range(25)])[1] > 0, seq
 
     @given(abc=st.tuples(grid_nonzero, grid_nonzero, grid_nonzero))
     @example(abc=(DEGENERATE.a, DEGENERATE.b, DEGENERATE.c))
@@ -673,15 +688,32 @@ class TestPartialSums:
         # y(t), the term the sums add at t, is 2K^t[2,1] for u and 2K^t[1,1] for v
         p = Params(*abc)
         k = build(MatrixTag.K, p)
-        for kind, shift, entry in ((SequenceKind.U, -1, "m21"), (SequenceKind.V, 0, "m11")):
-            xs = TermTable(p, kind)
+        for ys, entry in zip(_Point(p).ys, ("m21", "m11")):
             for t in range(25):
-                y = _y_sum(p, xs, shift, [(t, 1)])
-                assert Fraction(*y) == 2 * getattr(mat_pow(k, t), entry), (kind, t)
+                y = _y_sum(ys, [(t, 1)])
+                assert Fraction(*y) == 2 * getattr(mat_pow(k, t), entry), (entry, t)
+
+    @given(p=grid_points)
+    @example(p=P_STAR)
+    @example(p=DEGENERATE)
+    @example(p=RATIONAL_W)
+    def test_y_tables_are_the_weighted_terms(self, p: Params) -> None:
+        # y_u and y_v, kinds U and V at (ab, ab, abc), against the weight of
+        # their definition times the naive walk, and A^n from y_u's terms
+        y_u, y_v = _Point(p).ys
+        ab, abc = p.a * p.b, p.a * p.b * p.c
+        for ys, kind, shift in ((y_u, SequenceKind.U, -1), (y_v, SequenceKind.V, 0)):
+            for t in range(60):
+                weight = ab ** (t // 2) * p.a ** (zeta(t) + shift)
+                assert ys[t] == weight * term_naive(p, kind, t), (kind, t)
+        a = build(MatrixTag.A, p)
+        for n in range(1, 30):
+            expected = Mat2(y_u[n + 1], abc * y_u[n], y_u[n], abc * y_u[n - 1])
+            assert mat_pow(a, n) == expected, n
 
     def test_closed_sums_read_each_sum_once(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        # sum_closed: tr(K^m) once, then only the requested form for u and
-        # for v; the check: its direct sum, tr(K^m) once and its two forms
+        # tr(K^m) is one table read; then sum_closed sums only the requested
+        # form for u and for v, and the check its direct sum and its two forms
         calls = []
 
         def counted(*args):
@@ -692,10 +724,10 @@ class TestPartialSums:
         for corrected in (True, False):
             calls.clear()
             sum_closed(P_STAR, 2, 3, 1, corrected)
-            assert len(calls) == 3, corrected
+            assert len(calls) == 2, corrected
         calls.clear()
         check_partial_sum(P_STAR, 2, 3, 1, "u")
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("seq", ["u", "v"])
     def test_check_picks_from_the_pair_forms(self, seq: str) -> None:
