@@ -86,7 +86,7 @@ def _refuse_naive_index(n: int) -> None:
     """Reject a linear-time walk to index n before any of it is done."""
     if abs(n) > _NAIVE_INDEX_CAP:
         raise CliError(
-            f"the naive method is linear-time; refusing |n| > {_NAIVE_INDEX_CAP}"
+            f"the linear walk takes |n| steps; refusing |n| > {_NAIVE_INDEX_CAP}"
         )
 
 

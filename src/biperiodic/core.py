@@ -33,9 +33,10 @@ k >= 0
     x(k) = x'(k) / (M lam^floor(k/2) mu^ceil(k/2)).
 
 This scale, ``_scale``, is the denominator the terms actually carry, and
-each one divides the next.  A :class:`TermTable` carries it along its walk;
-the fast routes, which jump to one index, compute it once.  Every prime of
-it divides the small base lam mu M, so ``_term`` reduces x'(k) over it by
+each one divides the next.  It is stated there only: a :class:`TermTable`
+stores x'(k) alone and computes the scale of an index when it is read, as
+the fast routes do for the one index they jump to.  Every prime of it
+divides the small base lam mu M, so ``_term`` reduces x'(k) over it by
 remainders and gcds against that base, and builds the ``Fraction`` without
 the public constructor's general gcd, which is quadratic in the term size.
 """
@@ -297,10 +298,10 @@ def _scale(pt: _IntegerPoint, k: int) -> int:
 def _term(pt: _IntegerPoint, numer: int, den: int) -> Rational:
     """x(k) in lowest terms from numer = x'(k) and its scale den = ``_scale(pt, k)``.
 
-    The caller holds the scale.  Every prime of it divides the small base
-    lam mu M, so a common factor of numer and den is gcd(numer mod base,
-    base, den mod base): remainders by a small int, linear in the operands,
-    and no gcd of two large values.  A common factor h is squared while its
+    The caller passes the scale it read from ``_scale``.  Every prime of it
+    divides the small base lam mu M, so a common factor of numer and den is
+    gcd(numer mod base, base, den mod base): remainders by a small int,
+    linear in the operands, and no gcd of two large values.  A common factor h is squared while its
     square still divides both, so a high power of it leaves in a few passes.
     """
     base = pt.lam * pt.mu * pt.m
@@ -326,16 +327,15 @@ class TermTable:
 
         x'(k) = chi'(k) x'(k-1) + C x'(k-2),   chi'(k) = A at even k, B at odd k,
 
-    has integer coefficients, so no step reduces a fraction.  The walk
-    carries scale(k) next to x'(k): index 0 starts at M and index 1 at M mu,
-    and each step multiplies the scale by lam into an even k and by mu into
-    an odd one.  ``pair(k)`` returns the stored (x'(k), scale(k)) and builds
-    no ``Fraction``; ``table[k]`` hands that pair to ``_term``, which reduces
-    by the factors of the scale, on every read of an index k >= 0.  Index -k
-    is index k of a mirror table, built on the first negative read, that
-    holds only the integer point of kind W at the reflected point (see
-    :func:`reflected`), derived on ints by ``_reflected_point``; reflecting
-    twice gives back this point, so the mirror is only ever read at k >= 0.
+    has integer coefficients, so no step reduces a fraction.  The table
+    stores x'(k) and nothing else.  ``pair(k)`` returns the stored x'(k)
+    with ``_scale`` of k and builds no ``Fraction``; ``table[k]`` hands that
+    pair to ``_term``, which reduces by the factors of the scale, on every
+    read of an index k >= 0.  Index -k is index k of a mirror table, built
+    on the first negative read, that holds only the integer point of kind W
+    at the reflected point (see :func:`reflected`), derived on ints by
+    ``_reflected_point``; reflecting twice gives back this point, so the
+    mirror is only ever read at k >= 0.
     """
 
     def __init__(self, p: Params, kind: SequenceKind) -> None:
@@ -343,9 +343,8 @@ class TermTable:
 
     def _walk_from(self, p: Params | None, kind: SequenceKind, pt: _IntegerPoint) -> None:
         self.params, self.kind, self._point = p, kind, pt
-        # (x'(k), scale(k)) for 0 <= k <= hi
-        self._pairs = {0: (pt.x0, pt.m), 1: (pt.x1, pt.m * pt.mu)}
-        self._hi = 1
+        # x'(k) for 0 <= k < len(self._xs)
+        self._xs = {0: pt.x0, 1: pt.x1}
         self._mirror: TermTable | None = None
 
     def __getitem__(self, key: int) -> Rational:
@@ -357,15 +356,15 @@ class TermTable:
         """The term at index k as the unreduced pair (N, den) of ints, den > 0.
 
         ``Fraction(N, den) == table[k]``.  At k >= 0 the pair is
-        (x'(k), scale(k)), so the denominator at an index k >= 0 divides the
-        denominator at every higher index.  Index -k is read from the mirror
+        (x'(k), ``_scale`` of k), so the denominator at an index k >= 0
+        divides the denominator at every higher index.  Index -k is read from the mirror
         table, so its denominator is that table's scale(k).
         """
         if k < 0:
             return self._reflection().pair(-k)
-        if k > self._hi:
+        if k >= len(self._xs):
             self._extend_up(k)
-        return self._pairs[k]
+        return self._xs[k], _scale(self._point, k)
 
     def _reflection(self) -> TermTable:
         mirror = self._mirror
@@ -376,19 +375,16 @@ class TermTable:
         return mirror
 
     def _extend_up(self, n: int) -> None:
-        # Reads the bound once and moves it only after the pair at the new
-        # bound is stored, so every index up to the bound always has its
-        # pair.  Two callers extending the same table at once therefore
-        # only rewrite equal values.
-        pt, pairs, hi = self._point, self._pairs, self._hi
-        even, odd, c, lam, mu = pt.a, pt.b, pt.c, pt.lam, pt.mu
-        prev = pairs[hi - 1][0]
-        cur, den = pairs[hi]
+        # Stores index k only after k - 1 is stored, so the indices held are
+        # always 0..len - 1.  Two callers extending the same table at once
+        # therefore only rewrite equal values.
+        pt, xs = self._point, self._xs
+        even, odd, c = pt.a, pt.b, pt.c
+        hi = len(xs) - 1
+        prev, cur = xs[hi - 1], xs[hi]
         for k in range(hi + 1, n + 1):
             prev, cur = cur, (odd if k % 2 else even) * cur + c * prev
-            den *= mu if k % 2 else lam
-            pairs[k] = cur, den
-            self._hi = k
+            xs[k] = cur
 
 
 def _table(p: Params | None, kind: SequenceKind, pt: _IntegerPoint) -> TermTable:

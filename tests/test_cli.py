@@ -198,7 +198,10 @@ class TestGen:
     ) -> None:
         monkeypatch.setattr(cli, "term_range", refuse_work)
         assert main(["gen", "--seq", "fibonacci", "--from", str(start), "--to", str(stop)]) == 2
-        assert "refusing" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "refusing" in err
+        # gen has no --method, so the refusal names none
+        assert "naive method" not in err
 
 
 class TestVerify:

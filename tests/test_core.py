@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -381,6 +382,22 @@ class TestTermTable:
         assert not any(thread.is_alive() for thread in threads)
         for order, out in zip(orders, seen):
             assert out == [[term_naive(p, W, n) for n in order]] * len(tables)
+
+    def test_walked_table_holds_little_beyond_its_numerators(self) -> None:
+        # a walked table keeps x'(k) and what a dict needs to hold it; a
+        # scale stored per index would about double the bytes
+        p = Params("1/2", 3, "-2/5", "1/3", 2)
+        for kind in SequenceKind:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                table = TermTable(p, kind)
+                table.pair(4000)
+                traced = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            numerators = sum(sys.getsizeof(table.pair(k)[0]) for k in range(4001))
+            assert traced <= 1.5 * numerators, (kind, traced, numerators)
 
     @settings(max_examples=15)
     @given(p=points, q=points)
