@@ -40,26 +40,27 @@ parameters come from a fixed grid, numerators in [-5, 5] and denominators in
 [1, 5].  Each call turns that table into a run plan once, one entry per
 (family, sub) with its checker, its index bounds, its keywords and one
 shared :class:`IdentityId`, whose text is rendered once; a check then only
-draws its indices and calls its checker.
+draws its indices and calls its checker.  Each entry collects its own
+reports and skips, and the summary joins them in plan order: the order of
+:class:`Family`, then each family's sub-identities.
 
 The checkers read u, v and w terms from one :class:`~biperiodic.core.TermTable`
 per sequence, held in a one-entry memo keyed by the parameter point.
 ``run_suite`` checks one point per sample, so every check of a sample reads
-the same three tables, and each term is walked once per sample.  L1, L2
-and the w families run on unreduced ratios num/den of ints, den > 0: they
-read each term as its table's pair
+the same three tables, and each term is walked once per sample.  Every
+family runs on unreduced ratios num/den of ints, den > 0: it reads each
+term, y terms included, as its table's pair
 (:meth:`~biperiodic.core.TermTable.pair`), built into a ratio on its first
-read and shared by every later one, multiply and add with no gcd, decide
-``passed`` by cross-multiplying the two sides, and reduce each side once for
-the report.  The memo also holds the point's constants as such
-ratios: a, b, c, w0, w1, b/a and a/b (the parity weights (b/a)^e and
-(a/b)^e only take e = 0 or 1, so they are lookups), q = D/a^2 =
-b^2 + 4c(b/a), zero exactly where the discriminant D is, and the w
-invariant w1^2 - b w0 w1 - c (b/a) w0^2; and, for SUM and BINOM, ab = tr K
-as a reduced ratio.  SUM and BINOM reduce each reported value once, too.
-A point hashes its fields once, on the first lookup (see
-:class:`~biperiodic.core.Params`).  The geometric series of
-:func:`sum_oracle` stays independent of the tables, of the scalar closed
+read and shared by every later one, and multiplies and adds with no gcd.
+One report builder decides ``passed`` for every family by cross-multiplying
+the sides, and reduces each reported value once.  The memo also holds the
+point's constants as such ratios: a, b, c, w0, w1, b/a and a/b (the parity
+weights (b/a)^e and (a/b)^e only take e = 0 or 1, so they are lookups),
+q = D/a^2 = b^2 + 4c(b/a), zero exactly where the discriminant D is, and
+the w invariant w1^2 - b w0 w1 - c (b/a) w0^2; and, for SUM and BINOM,
+ab = tr K as a reduced ratio.  A point hashes its fields once, on the
+first lookup (see :class:`~biperiodic.core.Params`).  The geometric series
+of :func:`sum_oracle` stays independent of the tables, of the scalar closed
 form and of the fast routes: it multiplies pairs of ints that stand for
 elements of the algebra K generates, with its own helpers, and builds no
 matrix.
@@ -150,14 +151,11 @@ class Family(Enum):
     T34 = "T34"
 
 
-_FAMILY_ORDER = {f: i for i, f in enumerate(Family)}
-
-
 @dataclass(frozen=True)
 class IdentityId:
     """One verifiable identity: a family plus an optional sub-identity tag.
 
-    Its text and its sort key are computed on first use and kept.
+    Its text is computed on first use and kept.
     """
 
     family: Family
@@ -171,10 +169,6 @@ class IdentityId:
         if self.sub is None:
             return self.family.value
         return f"{self.family.value}.{self.sub}"
-
-    @cached_property
-    def sort_key(self) -> tuple[int, str]:
-        return _FAMILY_ORDER[self.family], "" if self.sub is None else str(self.sub)
 
 
 _IDS: dict[tuple[Family, int | str | None], IdentityId] = {}
@@ -302,44 +296,43 @@ def _reduced(x: _Ratio) -> Rational:
 
 
 class _Ratios(dict):
-    """The terms of one table as ratios: ``xs[k]`` is the table's pair at k.
+    """The terms of one table as ratios: ``xs[k]`` is ``xs.table``'s pair at k.
 
     The ratio at k is built on its first read and kept, so every check of
     a point shares it, and a later read is a plain dict lookup.  Two threads
-    that race on one index each store an equal ratio.
+    that race on one index each store an equal ratio.  Every check reads its
+    terms here and nowhere else.
     """
 
-    __slots__ = ("pair",)
+    __slots__ = ("table",)
 
     def __init__(self, table: TermTable) -> None:
-        self.pair = table.pair
+        self.table = table
 
     def __missing__(self, k: int) -> _Ratio:
-        x = self[k] = _Ratio(*self.pair(k))
+        x = self[k] = _Ratio(*self.table.pair(k))
         return x
 
 
 class _Point:
-    """The term tables and the scalar constants of one parameter point.
+    """The terms and the scalar constants of one parameter point.
 
-    ``u``, ``v`` and ``w`` are the point's ``TermTable`` of each kind, and
-    ``us``, ``vs`` and ``ws`` their terms as ratios.  The constants are those
-    of the module docstring: ``ba[e]`` and ``ab[e]`` are (b/a)^e and (a/b)^e
-    for e = 0 and 1, unreduced ratios of the numerators and denominators, and
-    ``w_inv`` is the w invariant; ``tr_k`` is tr K = ab, reduced, since the
+    ``us``, ``vs`` and ``ws`` are the terms of the point's ``TermTable`` of
+    each kind as ratios.  The constants are those of the module docstring:
+    ``ba[e]`` and ``ab[e]`` are (b/a)^e and (a/b)^e for e = 0 and 1,
+    unreduced ratios of the numerators and denominators, and ``w_inv`` is
+    the w invariant; ``tr_k`` is tr K = ab, reduced, since the
     powers of ab in SUM's constants and in BINOM's weight are built from it.
-    ``ys`` holds the y tables of SUM and BINOM; L1, L2 and the w families
-    never build them.
+    ``ys`` holds the terms of the y tables of SUM and BINOM, as ratios too;
+    L1, L2 and the w families never build them.
     """
 
     __slots__ = (
-        "u", "v", "w", "us", "vs", "ws", "a", "b", "c", "w0", "w1", "ba", "ab", "q", "w_inv",
-        "tr_k", "_ys",
+        "us", "vs", "ws", "a", "b", "c", "w0", "w1", "ba", "ab", "q", "w_inv", "tr_k", "_ys"
     )
 
     def __init__(self, p: Params) -> None:
-        self.u, self.v, self.w = (TermTable(p, kind) for kind in SequenceKind)
-        self.us, self.vs, self.ws = _Ratios(self.u), _Ratios(self.v), _Ratios(self.w)
+        self.us, self.vs, self.ws = (_Ratios(TermTable(p, kind)) for kind in SequenceKind)
         a, b, c, w0, w1 = (_ratio(x) for x in (p.a, p.b, p.c, p.w0, p.w1))
         self.a, self.b, self.c, self.w0, self.w1 = a, b, c, w0, w1
         one, ba = _Ratio(1), b / a
@@ -347,15 +340,15 @@ class _Point:
         self.q = b * b + 4 * c * ba
         self.w_inv = w1 * w1 - b * w0 * w1 - c * ba * w0 * w0
         self.tr_k = _ratio(p.a * p.b)
-        self._ys: tuple[TermTable, TermTable] | None = None
+        self._ys: tuple[_Ratios, _Ratios] | None = None
 
     @property
-    def ys(self) -> tuple[TermTable, TermTable]:
+    def ys(self) -> tuple[_Ratios, _Ratios]:
         """(y_u, y_v), kinds U and V at (ab, ab, abc), built on the first read."""
         if self._ys is None:  # two threads that race here each build equal tables
             ab = _reduced(self.tr_k)
             q = Params(ab, ab, _reduced(self.tr_k * self.c))
-            self._ys = TermTable(q, SequenceKind.U), TermTable(q, SequenceKind.V)
+            self._ys = _Ratios(TermTable(q, SequenceKind.U)), _Ratios(TermTable(q, SequenceKind.V))
         return self._ys
 
 
@@ -366,15 +359,26 @@ def _tables(p: Params) -> _Point:
 
 
 def _report(
-    ident: IdentityId, p: Params, indices: dict[str, int], lhs: _Ratio, rhs: _Ratio
+    ident: IdentityId,
+    p: Params,
+    indices: dict[str, int],
+    lhs: _Ratio,
+    rhs: _Ratio,
+    oracle: _Ratio | None = None,
+    printed: _Ratio | None = None,
 ) -> IdentityReport:
     """The report of one check: ``passed`` by cross-multiplying the unreduced sides.
 
-    Both dens are positive, so lhs = rhs exactly where lhs.num rhs.den =
-    rhs.num lhs.den; each side is then reduced once for the report.
+    Every den is positive, so lhs = rhs exactly where lhs.num rhs.den =
+    rhs.num lhs.den.  SUM passes its oracle sum, a third side that must
+    equal lhs as well, and its printed form, which only rides along.  Each
+    reported value is reduced once; the oracle is only compared.
     """
     passed = lhs.num * rhs.den == rhs.num * lhs.den
-    return IdentityReport(ident, p, indices, _reduced(lhs), _reduced(rhs), passed)
+    if oracle is not None:
+        passed = passed and lhs.num * oracle.den == oracle.num * lhs.den
+    printed_value = None if printed is None else _reduced(printed)
+    return IdentityReport(ident, p, indices, _reduced(lhs), _reduced(rhs), passed, printed_value)
 
 
 def check_u_identity(p: Params, sub: int, m: int, n: int) -> IdentityReport:
@@ -526,7 +530,7 @@ def _constants(p: Params, m: int) -> tuple[_Ratio, _Ratio, _Ratio]:
     :func:`sum_constants` is 1 - tr / (ab)^floor(m/2) + (ab)^z (-c)^m.
     """
     pt = _tables(p)
-    tr = _Ratio(*pt.ys[1].pair(m))
+    tr = pt.ys[1][m]
     c_m = (-pt.c) ** m
     corrected = _Ratio(1) - tr + pt.tr_k**m * c_m
     printed = _Ratio(1) - tr / pt.tr_k ** (m // 2) + pt.tr_k ** zeta(m) * c_m
@@ -605,7 +609,7 @@ def sum_oracle(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
 def _oracle_sums(p: Params, m: int, n: int, r: int) -> tuple[_Ratio, _Ratio]:
     """The u- and v-sums of :func:`sum_oracle` as unreduced ratios.
 
-    A SUM check reduces only the one of its own sequence.
+    A SUM check compares the one of its own sequence and reduces neither.
     """
     _validate_sum_indices(m, n, r)
     scale, g, delta = _k_algebra(p)
@@ -627,38 +631,37 @@ def _oracle_sums(p: Params, m: int, n: int, r: int) -> tuple[_Ratio, _Ratio]:
     return _Ratio(2 * y * scale, den), _Ratio(2 * x, den)
 
 
-def _y_sum(ys: TermTable, terms: list[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of coef y(t) over (t, coef) in ascending t >= 0, as (num, den), den > 0.
+def _y_sum(ys: _Ratios, terms: list[tuple[int, int]]) -> _Ratio:
+    """The sum of coef y(t) over (t, coef) in ascending t >= 0, unreduced.
 
-    ``ys`` is a y table; its pair at t is (y'(t), scale(t)), and every scale
-    is positive and divides the next (see
+    ``ys`` holds a y table's terms; its ratio at t is y'(t) over scale(t),
+    and every scale is positive and divides the next (see
     :meth:`~biperiodic.core.TermTable.pair`), so the sum runs on ints over
-    the scale of its last index.  An index may repeat.  The pair is not
-    reduced.
+    the scale of its last index.  An index may repeat.
     """
     num, den = 0, 1
     for t, coef in terms:
-        y, y_den = ys.pair(t)
-        num = num * (y_den // den) + coef * y
-        den = y_den
-    return num, den
+        y = ys[t]
+        num = num * (y.den // den) + coef * y.num
+        den = y.den
+    return _Ratio(num, den)
 
 
-def _direct_sum(ys: TermTable, m: int, n: int, r: int) -> _Ratio:
+def _direct_sum(ys: _Ratios, m: int, n: int, r: int) -> _Ratio:
     """One weighted partial sum, y(r) + y(m + r) + ... + y(mn + r), unreduced."""
-    return _Ratio(*_y_sum(ys, [(t, 1) for t in range(r, m * n + r + 1, m)]))
+    return _y_sum(ys, [(t, 1) for t in range(r, m * n + r + 1, m)])
 
 
 def _closed_sum(
     p: Params,
-    ys: TermTable,
+    ys: _Ratios,
     m: int,
     n: int,
     r: int,
     constants: tuple[_Ratio, _Ratio, _Ratio],
     corrected: bool,
-) -> Rational | None:
-    """The corrected or the printed closed form of one partial sum, or None.
+) -> _Ratio | None:
+    """The corrected or the printed closed form of one partial sum, unreduced, or None.
 
     ``constants`` is :func:`_constants` at m.  With tr(K^m) = t/one,
     (ab)^floor(m/2) = g/h and d the form's constant, the form is one
@@ -680,7 +683,7 @@ def _closed_sum(
         return None
     top = m * n + m + r
     terms = list(zip((r, r + m, top, top + m), coefs))
-    return _reduced(_Ratio(*_y_sum(ys, terms)) / under)
+    return _y_sum(ys, terms) / under
 
 
 def sum_direct(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
@@ -718,37 +721,30 @@ def sum_closed(
         if corrected:
             raise SingularSeriesError("partial-sum constant det(I - K^m) is zero for this m")
         return None
-    return u_sum, _closed_sum(p, y_v, m, n, r, constants, corrected)
+    return _reduced(u_sum), _reduced(_closed_sum(p, y_v, m, n, r, constants, corrected))
 
 
 def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
     """Three-way check of one weighted partial sum (family SUM).
 
     ``passed`` requires the direct sum, the matrix-series oracle, and the
-    corrected closed form to agree exactly.  The simplified-constant value
-    rides along in ``printed_form_value`` and is compared informally.
+    corrected closed form to agree exactly, compared by cross-multiplying.
+    The simplified-constant value rides along in ``printed_form_value`` and
+    is compared informally.
     Only the sequence ``seq`` is summed, and tr(K^m), from which both
     constants come, is read once for both closed forms.
     """
     if seq not in ("u", "v"):
         raise ValueError(f"seq must be 'u' or 'v', not {seq!r}")
-    _validate_sum_indices(m, n, r)
-    oracle = _reduced(_oracle_sums(p, m, n, r)[0 if seq == "u" else 1])
+    oracle = _oracle_sums(p, m, n, r)[0 if seq == "u" else 1]
     ys = _tables(p).ys[0 if seq == "u" else 1]
-    direct = _reduced(_direct_sum(ys, m, n, r))
+    direct = _direct_sum(ys, m, n, r)
     # the oracle has raised SingularSeriesError where det(I - K^m) is zero
     constants = _constants(p, m)
-    closed_value = _closed_sum(p, ys, m, n, r, constants, True)
-    printed_value = _closed_sum(p, ys, m, n, r, constants, False)
-    return IdentityReport(
-        _identity(Family.SUM, seq),
-        p,
-        {"m": m, "n": n, "r": r},
-        direct,
-        closed_value,
-        direct == oracle == closed_value,
-        printed_value,
-    )
+    closed = _closed_sum(p, ys, m, n, r, constants, True)
+    printed = _closed_sum(p, ys, m, n, r, constants, False)
+    indices = {"m": m, "n": n, "r": r}
+    return _report(_identity(Family.SUM, seq), p, indices, direct, closed, oracle, printed)
 
 
 def delta_weight(p: Params, m: int, n: int, r: int, i: int) -> Rational:
@@ -773,12 +769,13 @@ def delta_weight(p: Params, m: int, n: int, r: int, i: int) -> Rational:
 def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
     """Binomial expansion of the term at index mn+r (family BINOM).
 
-    The right side is the Cayley-Hamilton expansion of y(mn+r) in the module
+    The left side is the term at mn+r as a ratio of the point's table.  The
+    right side is the Cayley-Hamilton expansion of y(mn+r) in the module
     docstring, one :func:`_y_sum` with integer coefficients, over the weight
-    (ab)^floor((mn+r)/2) a^e of y at mn+r, on ratios and reduced once; the
-    two coefficients of K^m are each reduced once first, since their n-th
-    powers scale the sum.  :func:`delta_weight` is the per-summand reference
-    for it; m >= 2, n >= 0, r >= 0.
+    (ab)^floor((mn+r)/2) a^e of y at mn+r, as a ratio; the two coefficients
+    of K^m are each reduced once first, since their n-th powers scale the
+    sum.  The sides are compared by cross-multiplying.  :func:`delta_weight`
+    is the per-summand reference for it; m >= 2, n >= 0, r >= 0.
     """
     if seq not in ("u", "v"):
         raise ValueError(f"seq must be 'u' or 'v', not {seq!r}")
@@ -787,23 +784,20 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
     target = m * n + r
     pt = _tables(p)
     y_u, y_v = pt.ys
-    xs, ys, shift = (pt.u, y_u, -1) if seq == "u" else (pt.v, y_v, 0)
+    xs, ys, shift = (pt.us, y_u, -1) if seq == "u" else (pt.vs, y_v, 0)
     # the coefficients of K^m = y_u(m) K + abc y_u(m-1) I, each reduced once,
     # over one denominator d: their n-th powers scale every coefficient below
-    head = y_u[m]
-    tail = _reduced(pt.tr_k * pt.c * _Ratio(*y_u.pair(m - 1)))
+    head = _reduced(y_u[m])
+    tail = _reduced(pt.tr_k * pt.c * y_u[m - 1])
     d = math.lcm(head.denominator, tail.denominator)
     heads = accumulate(repeat(head.numerator * (d // head.denominator), n), mul, initial=1)
     tails = list(accumulate(repeat(tail.numerator * (d // tail.denominator), n), mul, initial=1))
     terms = [(i + r, math.comb(n, i) * head_i * tails[n - i]) for i, head_i in enumerate(heads)]
-    num, den = _y_sum(ys, terms)
     # the weight of y at the target, (ab)^floor(target/2) a^e with e in {-1, 0, 1}
     e = zeta(target) + shift
     weight = pt.tr_k ** (target // 2) * (pt.a**e if e >= 0 else _Ratio(1) / pt.a)
-    lhs, rhs = xs[target], _reduced(_Ratio(num, den * d**n) / weight)
-    return IdentityReport(
-        _identity(Family.BINOM, seq), p, {"m": m, "n": n, "r": r}, lhs, rhs, lhs == rhs
-    )
+    rhs = _y_sum(ys, terms) / (weight * d**n)
+    return _report(_identity(Family.BINOM, seq), p, {"m": m, "n": n, "r": r}, xs[target], rhs)
 
 
 _GRID_BOUND = 5  # parameter draws: numerators in [-5, 5], denominators in [1, 5]
@@ -927,17 +921,20 @@ def run_suite(config: SuiteConfig) -> SuiteSummary:
     """Run the configured families over deterministically sampled points.
 
     A fixed seed reproduces the identical summary, byte for byte, because
-    parameter and index draws happen in a fixed order and reports are sorted
-    by identity, in sample order within each.  Precondition failures (zero
-    discriminant, zero series constant) become skip records, never failures.
+    parameter and index draws happen in a fixed order, and reports and skips
+    follow the run plan, in sample order within each entry.  Precondition
+    failures (zero discriminant, zero series constant) become skip records,
+    never failures.
     A ``families`` entry that is not a :class:`Family` raises ``TypeError``;
     an empty ``families`` or ``params``, ``samples`` < 1 or ``max_index`` < 1
     raises ``ValueError``.
 
-    The call first builds its run plan, one entry per (family, sub): the
-    shared :class:`IdentityId`, the checker looked up by name, each index
-    with its draw bounds, and the sub-identity's keywords.  A check then
-    only draws its indices and calls its checker.
+    The call first builds its run plan, one entry per (family, sub), in
+    :class:`Family` order and then the family's sub-identities: the shared
+    :class:`IdentityId`, the checker looked up by name, each index with its
+    draw bounds, the sub-identity's keywords, and the lists that collect the
+    entry's reports and skips.  A check then only draws its indices and
+    calls its checker; the summary joins the entries' lists in plan order.
     """
     if not set(config.families) <= set(Family):
         raise TypeError(f"families must hold Family members: {', '.join(Family.__members__)}")
@@ -957,25 +954,22 @@ def run_suite(config: SuiteConfig) -> SuiteSummary:
         bounds = tuple((name, least, max(least, top)) for name, least in spec.floors.items())
         for sub in spec.subs:
             keyword = {} if spec.keyword is None else {spec.keyword: sub}
-            plan.append((_identity(family, sub), checker, bounds, keyword))
+            plan.append((_identity(family, sub), checker, bounds, keyword, [], []))
     rng = random.Random(config.seed)
     randint = rng.randint
-    results: list[IdentityReport] = []
-    skipped: list[SkipRecord] = []
     for sample in range(config.samples):
         if config.params:
             p = config.params[sample % len(config.params)]
         else:
             p = _draw_params(rng)
-        for ident, checker, bounds, keyword in plan:
+        for ident, checker, bounds, keyword, reports, skips in plan:
             idx = {name: randint(least, most) for name, least, most in bounds}
             try:
-                results.append(checker(p, **idx, **keyword))
+                reports.append(checker(p, **idx, **keyword))
             except (DegenerateParametersError, SingularSeriesError) as exc:
-                skipped.append(SkipRecord(ident, sample, str(exc), p))
-    # stable sorts: within one identity the records stay in sample order
-    results.sort(key=lambda rep: rep.id.sort_key)
-    skipped.sort(key=lambda rec: rec.id.sort_key)
+                skips.append(SkipRecord(ident, sample, str(exc), p))
+    results = [rep for *_, reports, _ in plan for rep in reports]
+    skipped = [rec for *_, skips in plan for rec in skips]
     passed = sum(1 for rep in results if rep.passed)
     return SuiteSummary(
         families,

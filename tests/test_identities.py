@@ -260,16 +260,6 @@ class TestIdentityId:
         assert str(IdentityId(Family.SUM, "u")) == "SUM.u"
         assert str(IdentityId(Family.T34)) == "T34"
 
-    def test_sort_is_family_then_sub(self) -> None:
-        ids = [
-            IdentityId(Family.T34),
-            IdentityId(Family.L1, 2),
-            IdentityId(Family.L1, 1),
-            IdentityId(Family.SUM, "v"),
-        ]
-        ordered = sorted(ids, key=lambda i: i.sort_key)
-        assert [str(i) for i in ordered] == ["L1.1", "L1.2", "SUM.v", "T34"]
-
 
 class TestPoint:
     """A point's three term tables and its constants."""
@@ -280,8 +270,9 @@ class TestPoint:
     @example(p=RATIONAL_W)
     def test_tables_ratios_and_shared_reads(self, p: Params) -> None:
         pt = _Point(p)
-        assert (pt.u.kind, pt.v.kind, pt.w.kind) == tuple(SequenceKind)
-        for kind, table, ratios in zip(SequenceKind, (pt.u, pt.v, pt.w), (pt.us, pt.vs, pt.ws)):
+        assert (pt.us.table.kind, pt.vs.table.kind, pt.ws.table.kind) == tuple(SequenceKind)
+        for kind, ratios in zip(SequenceKind, (pt.us, pt.vs, pt.ws)):
+            table = ratios.table
             assert (table.params, table.kind) == (p, kind)
             fresh = TermTable(p, kind)
             for k in range(-30, 61):  # the reads below 0 build the mirror tables
@@ -331,17 +322,55 @@ class TestReport:
         assert report.lhs == Fraction(ln, ld) and report.rhs == Fraction(rn, rd)
         assert report.to_dict()["pass"] is report.passed
 
-    def test_an_altered_term_fails(self) -> None:
+    # One check of each family, its arguments after the point, and a term it
+    # reads: the ratios that hold the term, from the point's memo, and its index.
+    ALTERED = [
+        pytest.param(check_u_identity, (2, 2, 4), lambda pt: (pt.us, 6), id="L1.2"),
+        pytest.param(check_uv_identity, (3, 2, 1), lambda pt: (pt.vs, 2), id="L2.3"),
+        pytest.param(check_cassini, (1,), lambda pt: (pt.ws, 2), id="CASSINI_W"),
+        pytest.param(check_addition, (2, 3), lambda pt: (pt.ws, 5), id="ADDITION"),
+        pytest.param(check_catalan, (1, 1, 1), lambda pt: (pt.ws, 3), id="CATALAN"),
+        pytest.param(check_product_sum, (3, 2), lambda pt: (pt.ws, 5), id="PRODSUM"),
+        pytest.param(check_square_sum, (2,), lambda pt: (pt.ws, 5), id="COR31"),
+        pytest.param(check_square_difference, (2,), lambda pt: (pt.ws, 4), id="T34"),
+        # the direct sum reads y at 1, 3, 5 and 7, the closed forms at 1, 3, 9
+        # and 11, and tr(K^2) is y_v at 2
+        pytest.param(check_partial_sum, (2, 3, 1, "u"), lambda pt: (pt.ys[0], 5), id="SUM.u"),
+        pytest.param(check_partial_sum, (2, 3, 1, "v"), lambda pt: (pt.ys[1], 5), id="SUM.v"),
+        # the left side is x at the target mn + r = 3
+        pytest.param(check_binomial, (2, 1, 1, "u"), lambda pt: (pt.us, 3), id="BINOM.u"),
+        pytest.param(check_binomial, (2, 1, 1, "v"), lambda pt: (pt.vs, 3), id="BINOM.v"),
+    ]
+
+    @pytest.mark.parametrize(("check", "args", "altered"), ALTERED)
+    def test_an_altered_term_fails(self, check, args: tuple, altered) -> None:
         _tables.cache_clear()
         try:
-            assert check_cassini(P_STAR, 1).passed
-            ws = _tables(P_STAR).ws
-            ws[2] = ws[2] + _Ratio(1)
-            report = check_cassini(P_STAR, 1)
+            assert check(P_STAR, *args).passed
+            ratios, k = altered(_tables(P_STAR))
+            ratios[k] = ratios[k] + _Ratio(1)
+            report = check(P_STAR, *args)
             assert report.passed is False
             assert report.to_dict()["pass"] is False
         finally:
             _tables.cache_clear()
+
+    @pytest.mark.parametrize("seq", ["u", "v"])
+    def test_an_oracle_off_by_one_fails_sum(
+        self, monkeypatch: pytest.MonkeyPatch, seq: str
+    ) -> None:
+        # SUM passes only where direct sum, oracle and closed form all agree,
+        # so a wrong oracle fails it while both reported sides stay as they are
+        honest = check_partial_sum(P_STAR, 2, 3, 1, seq)
+        real = identities._oracle_sums
+
+        def off_by_one(*args):
+            return tuple(side + _Ratio(1) for side in real(*args))
+
+        monkeypatch.setattr(identities, "_oracle_sums", off_by_one)
+        report = check_partial_sum(P_STAR, 2, 3, 1, seq)
+        assert honest.passed and report.passed is False
+        assert (report.lhs, report.rhs) == (honest.lhs, honest.rhs)
 
     def test_checks_share_one_id(self) -> None:
         first, second = check_uv_identity(P_STAR, 2, 1, 3), check_uv_identity(P_STAR, 2, 3, 1)
@@ -508,8 +537,8 @@ class TestIntCheckers:
             assert got == expected, (check.__name__, sub, args)
         if m > n:
             pt = _tables(p)
-            assert pt.u._mirror is not None
-            assert (pt.v._mirror is not None) == (discriminant(p) != 0)
+            assert pt.us.table._mirror is not None
+            assert (pt.vs.table._mirror is not None) == (discriminant(p) != 0)
 
     @pytest.mark.parametrize("sub", range(1, 8))
     def test_zero_discriminant_still_raises(self, sub: int) -> None:
@@ -574,7 +603,8 @@ class TestPartialSums:
         assert r.printed_form_matches is False
         assert check_partial_sum(P_STAR, 2, 1, 0, seq="v").passed
         # at r < m no closed form reads an index below 0, so no mirror table is built
-        assert _tables(P_STAR).u._mirror is None and _tables(P_STAR).v._mirror is None
+        pt = _tables(P_STAR)
+        assert pt.us.table._mirror is None and pt.vs.table._mirror is None
 
     def test_report_v_sum(self) -> None:
         r = check_partial_sum(P_STAR, 1, 1, 0, seq="v")
@@ -676,8 +706,8 @@ class TestPartialSums:
     def test_y_sum_denominator_is_positive(self, p: Params) -> None:
         for seq, ys in zip("uv", _Point(p).ys):
             for t in range(25):
-                assert _y_sum(ys, [(t, 1)])[1] > 0, (seq, t)
-            assert _y_sum(ys, [(t, -1) for t in range(25)])[1] > 0, seq
+                assert _y_sum(ys, [(t, 1)]).den > 0, (seq, t)
+            assert _y_sum(ys, [(t, -1) for t in range(25)]).den > 0, seq
 
     @given(abc=st.tuples(grid_nonzero, grid_nonzero, grid_nonzero))
     @example(abc=(DEGENERATE.a, DEGENERATE.b, DEGENERATE.c))
@@ -690,7 +720,7 @@ class TestPartialSums:
         for ys, entry in zip(_Point(p).ys, ("m21", "m11")):
             for t in range(25):
                 y = _y_sum(ys, [(t, 1)])
-                assert Fraction(*y) == 2 * getattr(mat_pow(k, t), entry), (entry, t)
+                assert Fraction(y.num, y.den) == 2 * getattr(mat_pow(k, t), entry), (entry, t)
 
     @given(p=grid_points)
     @example(p=P_STAR)
@@ -699,7 +729,7 @@ class TestPartialSums:
     def test_y_tables_are_the_weighted_terms(self, p: Params) -> None:
         # y_u and y_v, kinds U and V at (ab, ab, abc), against the weight of
         # their definition times the naive walk, and A^n from y_u's terms
-        y_u, y_v = _Point(p).ys
+        y_u, y_v = (ys.table for ys in _Point(p).ys)
         ab, abc = p.a * p.b, p.a * p.b * p.c
         for ys, kind, shift in ((y_u, SequenceKind.U, -1), (y_v, SequenceKind.V, 0)):
             for t in range(60):
@@ -870,10 +900,29 @@ class TestRunSuite:
         assert wrapped.results == plain.results and wrapped.skipped == plain.skipped
         assert wrapped.to_dict() == plain.to_dict()
 
-    def test_results_in_family_order(self) -> None:
-        summary = run_suite(SuiteConfig(samples=4, seed=5))
-        keys = [r.id.sort_key for r in summary.results]
-        assert keys == sorted(keys)
+    @pytest.mark.parametrize(
+        "families",
+        [tuple(Family), (Family.T34, Family.L1, Family.SUM)],
+        ids=["all", "T34-L1-SUM"],
+    )
+    def test_results_in_family_order(self, families: tuple[Family, ...]) -> None:
+        # Family order, then each family's subs, whatever the config's order,
+        # and each identity's records in sample order
+        subs = {
+            Family.L1: range(1, 5), Family.L2: range(1, 8), Family.SUM: "uv", Family.BINOM: "uv"
+        }
+        plan = [
+            _identity(family, sub)
+            for family in Family
+            if family in families
+            for sub in subs.get(family, (None,))
+        ]
+        points = (P_STAR, RATIONAL_W, DEGENERATE, SINGULAR_SUM)  # one per sample
+        summary = run_suite(SuiteConfig(families=families, samples=4, seed=5, params=points))
+        ran = [(plan.index(r.id), points.index(r.params)) for r in summary.results]
+        skipped = [(plan.index(r.id), r.sample) for r in summary.skipped]
+        assert ran == sorted(ran) and skipped == sorted(skipped)
+        assert sorted(ran + skipped) == [(i, s) for i in range(len(plan)) for s in range(4)]
 
     def test_sample_order_within_each_identity(self) -> None:
         # the sort by identity alone must keep each identity's reports and
