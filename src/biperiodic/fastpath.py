@@ -2,12 +2,17 @@
 
 Two independent fast routes are provided next to the linear-time oracle:
 
-* ``matrix`` -- binary powers of the period-2 transfer matrix, which
-  advances a pair of consecutive terms by one full period of the recurrence;
-  the term is read as one row of the half power times one column, never
-  from a last full square;
+* ``matrix`` -- binary powers of the period-2 transfer matrix P, which
+  advances a pair of consecutive terms by one full period of the recurrence.
+  By Cayley-Hamilton every power of P is alpha P + beta I, so a power is
+  kept as the two ints (alpha, beta) and a level is three squares; the term
+  is read from the half power, never from a last full square;
 * ``doubling`` -- index doubling on the pair (u(n), u(n+1)), driven by the
-  addition identities of the u-sequence.
+  addition identities of the u-sequence, three squares a level; the term is
+  read from the pair at n // 2 as one quadratic form.
+
+In both, the readout is one full-size product and one square of the
+half-size values the loop ends with.
 
 Both routes run on Python ints at the integer point of
 :mod:`biperiodic.core`, where every kind starts as W does from its initial
@@ -62,34 +67,23 @@ def _exact_div(x: int, d: int) -> int:
     return quotient
 
 
-def _from_u(pt: _IntegerPoint, k: int, u_prev: int, u_k: int, counter: OpCounter | None) -> int:
-    """x'(k) = x1 u'(k) + c x0 (b/a)^zeta(k) u'(k-1) for k >= 1.
-
-    At odd k, u'(k-1) has an even index and so is a multiple of a, and the
-    division by a is exact.  The counter gets 3 operations, and 2 more at
-    odd k.
-    """
-    tail = pt.c * pt.x0 * u_prev
-    if k % 2:
-        tail = _exact_div(pt.b * tail, pt.a)
-    if counter is not None:
-        counter.add(5 if k % 2 else 3)
-    return pt.x1 * u_k + tail
-
-
 def _u_pair(pt: _IntegerPoint, n: int, counter: OpCounter | None) -> tuple[int, int]:
     """(u'(n), u'(n+1)) at the integer point for n >= 0, by index doubling.
 
     u' is the sequence at the integer point from (u'(0), u'(1)) = (0, 1), so
     the U kind's x' there is x1 u'.  The walk starts at (u'(1), u'(2)) =
-    (1, a), because u'(-1) = 1/c is not an integer.  One level maps the
-    pair at k to the pair at 2k:
+    (1, a), because u'(-1) = 1/c is not an integer.  With chi(j) = a at even
+    j and b at odd j, one level maps the pair at k to the pair at 2k:
 
-        u(2k)   = u(k) (2 u(k+1) - chi(k+1) u(k)),
-        u(2k+1) = (b/a)^zeta(k) u(k+1)^2 + (b/a)^zeta(k+1) c u(k)^2,
+        u(2k)     = 2 u(k) u(k+1) - chi(k+1) u(k)^2,
+        a u(2k+1) = chi(k) u(k+1)^2 + c chi(k+1) u(k)^2,
 
     the first because c u(k-1) = u(k+1) - chi(k+1) u(k).  Every even-index
-    term is a multiple of a, so the division by a is exact.
+    term is a multiple of a, so the division by a is exact.  The level's
+    only full-size products are three squares: u(k)^2, u(k+1)^2 and
+    (u(k) + u(k+1))^2, which less the other two is 2 u(k) u(k+1).  The
+    counter gets 7 operations a level and 2 more for each set bit of n
+    below the leading one.
     """
     if n == 0:
         return 0, 1
@@ -97,15 +91,14 @@ def _u_pair(pt: _IntegerPoint, n: int, counter: OpCounter | None) -> tuple[int, 
     u_k, u_k1 = 1, a
     odd = True  # parity of the index k of u_k
     for bit in bin(n)[3:]:
+        xx, yy, both = u_k * u_k, u_k1 * u_k1, u_k + u_k1
+        two_xy = both * both - xx - yy
         if odd:
-            u_even = u_k * (2 * u_k1 - a * u_k)
-            u_odd = _exact_div(b * (u_k1 * u_k1), a) + c * (u_k * u_k)
+            u_k, u_k1 = two_xy - a * xx, _exact_div(b * yy, a) + c * xx
         else:
-            u_even = u_k * (2 * u_k1 - b * u_k)
-            u_odd = u_k1 * u_k1 + _exact_div(b * c * (u_k * u_k), a)
+            u_k, u_k1 = two_xy - b * xx, yy + _exact_div(b * c * xx, a)
         if counter is not None:
             counter.add(7)
-        u_k, u_k1 = u_even, u_odd
         odd = bit == "1"
         if odd:
             u_k, u_k1 = u_k1, a * u_k1 + c * u_k
@@ -137,22 +130,39 @@ def term_doubling(
 ) -> Rational:
     """Term at any integer index via pair doubling on the u-sequence.
 
-    x'(n) for n >= 1 combines u'(n-1) and u'(n), which come from ``_u_pair``
-    on ints at the integer point, and the result is one Fraction (see the
+    For n >= 1, x'(n) = x1 u'(n) + c x0 (b/a)^zeta(n) u'(n-1), with zeta(n)
+    = n mod 2.  ``_u_pair`` doubles on ints only up to (X, Y) = (u'(k),
+    u'(k+1)) with k = n // 2; the last level's identities put u'(n) and
+    u'(n-1) in terms of X and Y, so that
+
+        a x'(n) = X (alpha X + beta Y) + gamma Y^2,
+
+    with small ints alpha, beta and gamma built from the point and the
+    parities of n and k.  The readout is one full-size product, one square
+    and one exact division by a.  The result is one Fraction (see the
     module docstring).  A negative index is the same route at the integer
     point of the reflected point, from ``_reflected_point``.
     """
     if n == 0:
         return initial_pair(p, kind)[0]
     pt, n = (_reflected_point(p, kind), -n) if n < 0 else (_integer_point(p, kind), n)
-    return _term(pt, _from_u(pt, n, *_u_pair(pt, n - 1, counter), counter), _scale(pt, n))
-
-
-def _square(m: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    m11, m12, m21, m22 = m
-    cross = m12 * m21
-    trace = m11 + m22
-    return m11 * m11 + cross, m12 * trace, m21 * trace, m22 * m22 + cross
+    a, b, c, x0, x1 = pt.a, pt.b, pt.c, pt.x0, pt.x1
+    k = n // 2
+    u_k, u_k1 = _u_pair(pt, k, counter)
+    # chi(k) and chi(k+1) of ``_u_pair``; r = x1 - b x0 is c x'(-1)
+    chi_k, chi_k1 = (b, a) if k % 2 else (a, b)
+    r = x1 - b * x0
+    if n % 2:  # a x1 u'(2k+1) + b c x0 u'(2k)
+        alpha, beta, gamma = c * chi_k1 * r, 2 * b * c * x0, chi_k * x1
+    else:  # a r u'(2k) + a x0 u'(2k+1), since c u'(2k-1) = u'(2k+1) - b u'(2k)
+        ar = a * r
+        alpha, beta, gamma = chi_k1 * (c * x0 - ar), 2 * ar, chi_k * x0
+    numer = _exact_div(u_k * (alpha * u_k + beta * u_k1) + gamma * (u_k1 * u_k1), a)
+    if counter is not None:
+        # r (1); alpha, beta and gamma (5 at odd n, 4 at even n); the form
+        # (5); the division (1)
+        counter.add(12 if n % 2 else 11)
+    return _term(pt, numer, _scale(pt, n))
 
 
 def term_matrix(
@@ -165,39 +175,53 @@ def term_matrix(
     single step takes the initial pair to (x'(2), x'(1)), and P^e with
     e = (n-1)//2 takes that to (x'(2e+2), x'(2e+1)), so x'(n) for n >= 1 is
     read from the top row when n is even and from the bottom row when n is
-    odd.  The loop builds P^h with h = e // 2, most significant bit first:
-    each level squares the power and a set bit multiplies it by P, whose
-    entries are small.  The last level is not squared out: P^e = P^h P^h
-    P^(e mod 2), so x'(n) is that row of P^h times the column
-    P^h P^(e mod 2) (x'(2), x'(1)), two half-size products where a full
-    square would take five.  The result is one Fraction (see the module
-    docstring).  A negative index is the same route at the integer point of
-    the reflected point, from ``_reflected_point``.
+    odd.  By Cayley-Hamilton P^2 = t P - d I, with trace t = ab + 2c and
+    determinant d = c^2, so every power of P is alpha P + beta I and is
+    kept as the two ints (alpha, beta).  The loop builds P^h with h = e // 2,
+    most significant bit first.  A level squares:
+
+        alpha' = t alpha^2 + 2 alpha beta,    beta' = beta^2 - d alpha^2,
+
+    from the three squares alpha^2, beta^2 and (alpha + beta)^2, and a set
+    bit multiplies by P: (alpha, beta) -> (t alpha + beta, -d alpha).  The
+    last level is not squared out: with y = P^(e mod 2) (x'(2), x'(1)) and
+    s_j the selected row of P^j y, P^e y = (alpha P + beta I)^2 y gives
+
+        x'(n) = alpha (alpha s2 + 2 beta s1) + beta^2 s0,
+
+    one full-size product and one square, since the s_j are small ints.
+    The result is one Fraction (see the module docstring).  A negative index
+    is the same route at the integer point of the reflected point, from
+    ``_reflected_point``.
     """
     if n == 0:
         return initial_pair(p, kind)[0]
     pt, n = (_reflected_point(p, kind), -n) if n < 0 else (_integer_point(p, kind), n)
     a, b, c, x0, x1 = pt.a, pt.b, pt.c, pt.x0, pt.x1
-    x2 = a * x1 + c * x0
     ab_c, ac = a * b + c, a * c
+    t, d = ab_c + c, c * c
     half, odd_e = divmod((n - 1) // 2, 2)
-    power = (1, 0, 0, 1)
+    alpha, beta = 0, 1
     for bit in bin(half)[2:] if half else "":
-        power = _square(power)
+        aa, bb, both = alpha * alpha, beta * beta, alpha + beta
+        alpha, beta = t * aa + both * both - aa - bb, bb - d * aa
         if bit == "1":
-            m11, m12, m21, m22 = power
-            power = (m11 * ab_c + m12 * b, m11 * ac + m12 * c,
-                     m21 * ab_c + m22 * b, m21 * ac + m22 * c)
+            alpha, beta = t * alpha + beta, -d * alpha
         if counter is not None:
-            counter.add(13 if bit == "1" else 5)
-    y1, y2 = (ab_c * x2 + ac * x1, b * x2 + c * x1) if odd_e else (x2, x1)
-    m11, m12, m21, m22 = power
-    col1, col2 = m11 * y1 + m12 * y2, m21 * y1 + m22 * y2
-    numer = m21 * col1 + m22 * col2 if n % 2 else m11 * col1 + m12 * col2
+            counter.add(7 if bit == "1" else 5)
+    y1, y2 = a * x1 + c * x0, x1
+    if odd_e:
+        y1, y2 = ab_c * y1 + ac * y2, b * y1 + c * y2
+    z1, z2 = ab_c * y1 + ac * y2, b * y1 + c * y2  # P y
+    if n % 2:
+        s0, s1, s2 = y2, z2, b * z1 + c * z2
+    else:
+        s0, s1, s2 = y1, z1, ab_c * z1 + ac * z2
+    numer = alpha * (alpha * s2 + 2 * beta * s1) + beta * beta * s0
     if counter is not None:
-        # x2, ab + c and ac (4); P (x2, x1) when e is odd (4); the column
-        # (4); the row by the column (2)
-        counter.add(10 + 4 * odd_e)
+        # ab + c, ac and d (3); x'(2) (2); P (x'(2), x'(1)) when e is odd
+        # (4); P y (4); the row of P^2 y (2); the readout (5)
+        counter.add(16 + 4 * odd_e)
     return _term(pt, numer, _scale(pt, n))
 
 

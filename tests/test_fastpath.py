@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from biperiodic.core import Params, SequenceKind, _integer_point, _scale, initial_pair, term_naive
 from biperiodic.exact import OpCounter
 from biperiodic.fastpath import Method, term_doubling, term_fast, term_matrix, uv_doubling
-from biperiodic.fastpath import _from_u, _u_pair
+from biperiodic.fastpath import _u_pair
 from conftest import P_STAR, random_params
 
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
@@ -130,23 +130,24 @@ class TestMethodsAgree:
 
 
 class TestMatrixReadout:
-    """The matrix route stops its loop at P^h, h = e // 2 for e = (n - 1) // 2,
-    and reads x'(n) as a row of P^h times the column P^h P^(e mod 2) (x2, x1)."""
+    """The matrix route keeps P^h as (alpha, beta) with P^h = alpha P + beta I,
+    stops at h = e // 2 for e = (n - 1) // 2, and reads x'(n) from alpha, beta
+    and the selected rows s_j of P^j P^(e mod 2) (x2, x1)."""
 
     @pytest.mark.parametrize(
         ("e", "muls"),
         [
-            # no loop level: x2, ab + c and ac (4), the column (4), the row (2),
-            # and P (x2, x1) (4) when e is odd
-            (0, 10),
-            (1, 14),
-            # h = 1: one level that squares and multiplies by P (5 + 8)
-            (2, 13 + 10),
-            (3, 13 + 14),
+            # no loop level: ab + c, ac and d (3), x2 (2), P y (4), the row of
+            # P^2 y (2), the readout (5), and y = P (x2, x1) (4) when e is odd
+            (0, 16),
+            (1, 20),
+            # h = 1: one level that squares (5) and multiplies by P (2)
+            (2, 7 + 16),
+            (3, 7 + 20),
             # e = 2^k - 1: h = 2^(k-1) - 1 has k - 1 set bits
-            *((2**k - 1, 13 * (k - 1) + 14) for k in (3, 5, 10, 17)),
+            *((2**k - 1, 7 * (k - 1) + 20) for k in (3, 5, 10, 17)),
             # e = 2^k: h = 2^(k-1) has one set bit and k - 1 clear ones
-            *((2**k, 13 + 5 * (k - 1) + 10) for k in (2, 5, 10, 17)),
+            *((2**k, 7 + 5 * (k - 1) + 16) for k in (2, 5, 10, 17)),
         ],
     )
     def test_multiplication_count(self, e: int, muls: int) -> None:
@@ -170,20 +171,21 @@ class TestMatrixReadout:
 
 
 class TestDoublingCount:
-    """The doubling route walks the u-pair from index 1 up to n - 1, then reads
-    x'(n) from u'(n-1) and u'(n)."""
+    """The doubling route walks the u-pair from index 1 up to k = n // 2, then
+    reads a x'(n) as a quadratic form in u'(k) and u'(k+1)."""
 
     @pytest.mark.parametrize(
         "n", [1, 2, 3, *(2**k + j for k in (2, 5, 10, 17) for j in (-1, 0, 1))]
     )
     def test_multiplication_count(self, n: int) -> None:
-        # each level of the walk 7, each set bit of n - 1 below the leading
-        # one 2 more; the readout 3, and 2 more at odd n; n = 1 walks nothing
-        walk = n - 1
+        # each level of the walk 7, each set bit of k below the leading one 2
+        # more; the readout r (1), alpha, beta and gamma (4, and 5 at odd n),
+        # the form (5) and the division by a (1); n = 1 walks nothing
+        walk = n // 2
         levels, steps = max(walk.bit_length() - 1, 0), max(bin(walk).count("1") - 1, 0)
         counter = OpCounter()
         term_doubling(P_STAR, W, n, counter)
-        assert counter.muls == 7 * levels + 2 * steps + 3 + 2 * (n % 2)
+        assert counter.muls == 7 * levels + 2 * steps + 11 + n % 2
 
 
 class TestIdentitiesAtDepth:
@@ -320,7 +322,11 @@ class TestIntegerPointScaling:
         # the quotient exactly as the public constructor does
         p, n = Params(Fraction(1, 2), 3, Fraction(-2, 5), w0, w1), 2**18 + 3
         pt = _integer_point(p, W)
-        numer, den = _from_u(pt, n, *_u_pair(pt, n - 1, None), None), _scale(pt, n)
+        # x'(n) = x1 u'(n) + c x0 (b/a) u'(n-1) at odd n, where u'(n-1) is a
+        # multiple of a
+        u_prev, u_n = _u_pair(pt, n - 1, None)
+        assert u_prev % pt.a == 0
+        numer, den = pt.x1 * u_n + pt.c * pt.x0 * pt.b * (u_prev // pt.a), _scale(pt, n)
         assert math.gcd(numer, den) == common
         plain = Fraction(numer, den)
         for value in (term_doubling(p, W, n), term_matrix(p, W, n)):
