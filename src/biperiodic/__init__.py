@@ -16,12 +16,9 @@ from .core import (
     SequenceKind,
     chi,
     discriminant,
-    negative_term,
     table_notation,
     term_naive,
     term_range,
-    v_from_u,
-    w_from_u,
     zeta,
 )
 from .exact import (
@@ -41,7 +38,6 @@ from .identities import (
     Family,
     IdentityId,
     IdentityReport,
-    SingularSeriesError,
     SuiteConfig,
     SuiteSummary,
     run_suite,
@@ -55,6 +51,7 @@ from .matforms import (
     tu_power_closed,
     u_power_closed,
 )
+from .oracles import SingularSeriesError, negative_term, v_from_u, w_from_u
 
 __version__ = "1.0.0"
 

@@ -20,7 +20,9 @@ stepping the recurrence |n| times.  The logarithmic-time routes in
 from the initial pair on every call, on ``Fraction`` values, in either
 direction, and is the anchor; :class:`TermTable` keeps the terms it has
 walked, so repeated lookups at one parameter point cost only the steps not
-yet taken, and :func:`term_range` reads a fresh table index by index.
+yet taken, and :func:`term_range` reads a fresh table index by index.  The
+closed reflections ``reflect_*`` read no term: :mod:`biperiodic.oracles`
+feeds them terms of :func:`term_naive`, the only route it reads terms by.
 
 A table and both fast routes walk on Python ints at one integer point,
 derived by ``_point`` alone, for a point and for its reflection alike.  With
@@ -66,12 +68,9 @@ __all__ = [
     "term_naive",
     "TermTable",
     "term_range",
-    "w_from_u",
-    "v_from_u",
     "reflect_u",
     "reflect_v",
     "reflect_w",
-    "negative_term",
 ]
 
 
@@ -397,28 +396,6 @@ def term_range(p: Params, kind: SequenceKind, lo: int, hi: int) -> list[Rational
     return [table[k] for k in range(lo, hi + 1)]
 
 
-def _from_u(p: Params, n: int, pair: tuple[Rational, Rational]) -> Rational:
-    """x(n) of the initial pair (x0, x1) from u(n), u(n-1): x1 u(n) + c (b/a)^zeta(n) x0 u(n-1)."""
-    x0, x1 = pair
-    u_prev, u_n = term_range(p, SequenceKind.U, n - 1, n)
-    ratio = p.b / p.a if zeta(n) else Fraction(1)
-    return u_n * x1 + p.c * ratio * u_prev * x0
-
-
-def w_from_u(p: Params, n: int) -> Rational:
-    """w(n) for n >= 1 assembled from u-terms instead of the w recurrence."""
-    if n < 1:
-        raise ValueError("w_from_u is defined for n >= 1")
-    return _from_u(p, n, (p.w0, p.w1))
-
-
-def v_from_u(p: Params, n: int) -> Rational:
-    """v(n) for n >= 1 assembled from u-terms instead of the v recurrence."""
-    if n < 1:
-        raise ValueError("v_from_u is defined for n >= 1")
-    return _from_u(p, n, initial_pair(p, SequenceKind.V))
-
-
 def reflect_u(p: Params, n: int, u_n: Rational) -> Rational:
     """u(-n) from u(n) for n >= 1: u(-n) = (-1)^(n+1) u(n) / c^n."""
     if n < 1:
@@ -444,22 +421,3 @@ def reflect_w(p: Params, n: int, u_n: Rational, u_next: Rational) -> Rational:
         raise ValueError("reflection is defined for n >= 1")
     ratio = p.b / p.a if zeta(n) else Fraction(1)
     return (ratio * p.w0 * u_next - p.w1 * u_n) / rat_pow(-p.c, n)
-
-
-def negative_term(p: Params, kind: SequenceKind, n: int) -> Rational:
-    """Term at index -n (n >= 1) via the closed negative-index forms.
-
-    Independent of the backward recurrence, so the two negative-index routes
-    cross-check each other.  A ``kind`` that is not a :class:`SequenceKind`
-    raises ``TypeError``.
-    """
-    if n < 1:
-        raise ValueError("negative_term expects n >= 1 and returns the term at -n")
-    if kind is SequenceKind.U:
-        return reflect_u(p, n, term_naive(p, SequenceKind.U, n))
-    if kind is SequenceKind.V:
-        return reflect_v(p, n, term_naive(p, SequenceKind.V, n))
-    if kind is SequenceKind.W:
-        u_n, u_next = term_range(p, SequenceKind.U, n, n + 1)
-        return reflect_w(p, n, u_n, u_next)
-    raise _kind_error(kind)

@@ -32,8 +32,8 @@ evaluate n >= 1, and a counter passed at -n counts that reflected walk.
 
 Both must agree with the oracle exactly, on every input; the test suite
 enforces the three-way agreement.  The backward recurrence of
-:func:`~biperiodic.core.term_naive` and the closed reflection formulas of
-:mod:`biperiodic.core` stay oracle-only.
+:func:`~biperiodic.core.term_naive` and :mod:`biperiodic.oracles`, which reads
+terms through ``term_naive`` only, stay off the fast routes.
 """
 
 from __future__ import annotations

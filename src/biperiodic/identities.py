@@ -60,10 +60,10 @@ q = D/a^2 = b^2 + 4c(b/a), zero exactly where the discriminant D is, and
 the w invariant w1^2 - b w0 w1 - c (b/a) w0^2; and, for SUM and BINOM,
 ab = tr K as a reduced ratio.  A point hashes its fields once, on the
 first lookup (see :class:`~biperiodic.core.Params`).  The geometric series
-of :func:`sum_oracle` stays independent of the tables, of the scalar closed
-form and of the fast routes: it multiplies pairs of ints that stand for
-elements of the algebra K generates, with its own helpers, and builds no
-matrix.
+of :func:`~biperiodic.oracles.sum_oracle` lives in :mod:`biperiodic.oracles`,
+apart from the tables, the scalar closed form and the fast routes: it
+multiplies pairs of ints that stand for elements of the algebra K generates
+and builds no matrix.  A SUM check wraps its (num, den) pair as a ratio.
 
 A SUM check sums only its own sequence: one direct sum, and one corrected
 and one printed closed form.  The pair-returning :func:`sum_direct` and
@@ -105,6 +105,7 @@ from typing import NamedTuple
 from .core import DegenerateParametersError, Params, SequenceKind, TermTable, zeta
 from .exact import Rational, dataclass_repr, to_text
 from .exact import _coprime_fraction
+from .oracles import SingularSeriesError, _oracle_sums, _validate_sum_indices, sum_oracle
 
 __all__ = [
     "Family",
@@ -128,14 +129,9 @@ __all__ = [
     "sum_direct",
     "sum_closed",
     "check_partial_sum",
-    "delta_weight",
     "check_binomial",
     "run_suite",
 ]
-
-
-class SingularSeriesError(ValueError):
-    """The partial-sum constant det(I - K^m) vanishes at this step length."""
 
 
 class Family(Enum):
@@ -549,88 +545,6 @@ def sum_constants(p: Params, m: int) -> SumConstants:
     return SumConstants(_reduced(printed), _reduced(corrected))
 
 
-def _validate_sum_indices(m: int, n: int, r: int) -> None:
-    if m < 1 or n < 0 or r < 0:
-        raise ValueError("partial sums need m >= 1, n >= 0, r >= 0")
-
-
-def _k_algebra(p: Params) -> tuple[int, int, int]:
-    """The integers (L, G, Delta) of K = (G + s)/(2L), where s = L*H and s^2 = Delta.
-
-    L = lcm(den(ab), den(c)), G = L*ab and Delta = G^2 + 4*G*(L*c) = L^2 * D.
-    """
-    ab = p.a * p.b
-    scale = math.lcm(ab.denominator, p.c.denominator)
-    g = ab.numerator * (scale // ab.denominator)
-    c = p.c.numerator * (scale // p.c.denominator)
-    return scale, g, g * g + 4 * g * c
-
-
-def _pair_mul(x1: int, y1: int, x2: int, y2: int, delta: int) -> tuple[int, int]:
-    """(x1 + y1 s)(x2 + y2 s) with s^2 = delta."""
-    return x1 * x2 + y1 * y2 * delta, x1 * y2 + x2 * y1
-
-
-def _pair_pow(x: int, y: int, e: int, delta: int) -> tuple[int, int]:
-    """(x + y s)^e with s^2 = delta, e >= 0, by left-to-right square-and-multiply."""
-    rx, ry = 1, 0
-    for bit in bin(e)[2:]:
-        rx, ry = rx * rx + ry * ry * delta, 2 * rx * ry
-        if bit == "1":
-            rx, ry = _pair_mul(rx, ry, x, y, delta)
-    return rx, ry
-
-
-def sum_oracle(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
-    """Both weighted partial sums read off the matrix geometric series.
-
-    Evaluates (I - K^m)^-1 (K^r - K^(m(n+1)+r)) exactly and doubles the
-    (2,1) and (1,1) entries to obtain the u- and v-sums.  Requires a nonzero
-    discriminant and a nonsingular I - K^m.
-
-    The series is evaluated on pairs of ints in the commutative algebra that
-    K generates.  H = [[0, D], [1, 0]] has H^2 = D*I, and K = (ab*I + H)/2.
-    With the integers L, G and Delta of :func:`_k_algebra`,
-    K = (G + sqrt(Delta))/(2L), where s = sqrt(Delta) stands for L*H: the
-    pair (x, y) is x + y s, the matrix x*I + y*L*H, and pairs multiply as
-    those matrices do.  So K^e = (x_e + y_e s)/(2L)^e with
-    (x_e, y_e) = (G + s)^e.  With Q = (2L)^m, I - K^m = (A + B s)/Q for
-    (A, B) = (Q - x_m, -y_m).  In place of a matrix inverse, its inverse is
-    the conjugate over the norm, Q(A - B s)/N, where
-    N = A^2 - B^2 Delta = Q^2 det(I - K^m); so N = 0 is the singular case.
-    The sum is (X + Y s)/(N (2L)^(mn+r)) with
-    X + Y s = (A - B s)(x_r + y_r s)(Q^(n+1) - (x_m + y_m s)^(n+1)), and its
-    (2,1) and (1,1) entries are Y*L and X over that denominator.
-    """
-    u_sum, v_sum = _oracle_sums(p, m, n, r)
-    return _reduced(u_sum), _reduced(v_sum)
-
-
-def _oracle_sums(p: Params, m: int, n: int, r: int) -> tuple[_Ratio, _Ratio]:
-    """The u- and v-sums of :func:`sum_oracle` as unreduced ratios.
-
-    A SUM check compares the one of its own sequence and reduces neither.
-    """
-    _validate_sum_indices(m, n, r)
-    scale, g, delta = _k_algebra(p)
-    if delta == 0:
-        raise DegenerateParametersError("discriminant is zero for these parameters")
-    x_m, y_m = _pair_pow(g, 1, m, delta)
-    q = (2 * scale) ** m
-    res_x, res_y = q - x_m, -y_m
-    norm = res_x * res_x - res_y * res_y * delta
-    if norm == 0:
-        raise SingularSeriesError("partial-sum constant det(I - K^m) is zero for this m")
-    x_r, y_r = _pair_pow(g, 1, r, delta)
-    x_top, y_top = _pair_pow(x_m, y_m, n + 1, delta)
-    x, y = _pair_mul(res_x, -res_y, x_r, y_r, delta)
-    x, y = _pair_mul(x, y, q ** (n + 1) - x_top, -y_top, delta)
-    den = norm * (2 * scale) ** (m * n + r)
-    if den < 0:
-        x, y, den = -x, -y, -den
-    return _Ratio(2 * y * scale, den), _Ratio(2 * x, den)
-
-
 def _y_sum(ys: _Ratios, terms: list[tuple[int, int]]) -> _Ratio:
     """The sum of coef y(t) over (t, coef) in ascending t >= 0, unreduced.
 
@@ -736,7 +650,7 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     """
     if seq not in ("u", "v"):
         raise ValueError(f"seq must be 'u' or 'v', not {seq!r}")
-    oracle = _oracle_sums(p, m, n, r)[0 if seq == "u" else 1]
+    oracle = _Ratio(*_oracle_sums(p, m, n, r)[0 if seq == "u" else 1])
     ys = _tables(p).ys[0 if seq == "u" else 1]
     direct = _direct_sum(ys, m, n, r)
     # the oracle has raised SingularSeriesError where det(I - K^m) is zero
@@ -747,25 +661,6 @@ def check_partial_sum(p: Params, m: int, n: int, r: int, seq: str = "u") -> Iden
     return _report(_identity(Family.SUM, seq), p, indices, direct, closed, oracle, printed)
 
 
-def delta_weight(p: Params, m: int, n: int, r: int, i: int) -> Rational:
-    """The parity bookkeeping weight of one binomial summand.
-
-    (ab)^(floor((i+r)/2) + n*floor(m/2)) * a^(-zeta(m+1)*i - 1 + zeta(i+r))
-    * b^(zeta(m)*(n-i)), defined for m >= 2 and 0 <= i <= n.  It is the
-    reference for :func:`check_binomial`: with t = mn+r, the sum over i of
-    comb(n, i) c^(n-i) u(m)^i u(m-1)^(n-i) x(i+r) times this weight is
-    x(t) (ab)^floor(t/2) a^(zeta(t)-1).
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if not 0 <= i <= n:
-        raise ValueError("need 0 <= i <= n")
-    e_ab = (i + r) // 2 + n * (m // 2)
-    e_a = -zeta(m + 1) * i - 1 + zeta(i + r)
-    e_b = zeta(m) * (n - i)
-    return (p.a * p.b) ** e_ab * p.a ** e_a * p.b ** e_b
-
-
 def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> IdentityReport:
     """Binomial expansion of the term at index mn+r (family BINOM).
 
@@ -774,8 +669,8 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
     docstring, one :func:`_y_sum` with integer coefficients, over the weight
     (ab)^floor((mn+r)/2) a^e of y at mn+r, as a ratio; the two coefficients
     of K^m are each reduced once first, since their n-th powers scale the
-    sum.  The sides are compared by cross-multiplying.  :func:`delta_weight`
-    is the per-summand reference for it; m >= 2, n >= 0, r >= 0.
+    sum.  The sides are compared by cross-multiplying; m >= 2, n >= 0, r >= 0.
+    :func:`~biperiodic.oracles.delta_weight` is the per-summand reference.
     """
     if seq not in ("u", "v"):
         raise ValueError(f"seq must be 'u' or 'v', not {seq!r}")

@@ -25,7 +25,6 @@ from biperiodic.core import (
     chi,
     discriminant,
     initial_pair,
-    negative_term,
     reflect_u,
     reflect_v,
     reflect_w,
@@ -33,12 +32,11 @@ from biperiodic.core import (
     table_notation,
     term_naive,
     term_range,
-    v_from_u,
-    w_from_u,
     zeta,
 )
 from biperiodic.fastpath import term_fast
 from biperiodic.matforms import build
+from biperiodic.oracles import negative_term, v_from_u, w_from_u
 from conftest import P_STAR, random_params
 
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
