@@ -216,11 +216,13 @@ class _IntegerPoint:
 
     (x0, x1) = (M x0, M mu x1) is the kind's initial pair scaled to ints,
     and m is M, so the scale of index k is m lam^floor(k/2) mu^ceil(k/2).
-    A plain slotted class, because a dataclass adds about 3 ms to each
-    import from source.
+    lam mu is also held split, once per point, as odd 2^shift with odd an
+    odd int, so that ``_scale`` builds a power of lam mu with one ``pow`` of
+    odd and one left shift.  A plain slotted class, because a dataclass adds
+    about 3 ms to each import from source.
     """
 
-    __slots__ = ("lam", "mu", "m", "a", "b", "c", "x0", "x1")
+    __slots__ = ("lam", "mu", "m", "a", "b", "c", "x0", "x1", "odd", "shift")
 
     def __init__(
         self, lam: int, mu: int, m: int, a: int, b: int, c: int, x0: int, x1: int
@@ -228,6 +230,9 @@ class _IntegerPoint:
         self.lam, self.mu, self.m = lam, mu, m
         self.a, self.b, self.c = a, b, c
         self.x0, self.x1 = x0, x1
+        lam_mu = lam * mu
+        self.shift = (lam_mu & -lam_mu).bit_length() - 1
+        self.odd = lam_mu >> self.shift
 
 
 def _point(
@@ -289,9 +294,15 @@ def _scale(pt: _IntegerPoint, k: int) -> int:
     """The denominator x'(k) carries at index k >= 0, so x(k) = x'(k) / _scale(pt, k).
 
     It is M lam^floor(k/2) mu^ceil(k/2): from odd to even k the scale gains
-    a factor lam, and from even to odd a factor mu.
+    a factor lam, and from even to odd a factor mu.  It is built as M (lam
+    mu)^floor(k/2), times mu at odd k, with (lam mu)^h = odd^h 2^(shift h)
+    from the split the point holds: one ``pow`` of the odd part and one left
+    shift.  At (1/2, 3, -2/5), k = 2^16 + 171, that took 0.44 ms against
+    0.69 ms for two ``pow``s and their product, and 3 us against 0.24 ms at
+    its reflected point, where lam mu = 8 (Python 3.11).
     """
-    return pt.m * pt.lam ** (k // 2) * pt.mu ** ((k + 1) // 2)
+    h = k // 2
+    return (pt.m * pt.mu ** (k % 2) * pt.odd**h) << (pt.shift * h)
 
 
 def _term(pt: _IntegerPoint, numer: int, den: int) -> Rational:

@@ -11,8 +11,8 @@ Two independent fast routes are provided next to the linear-time oracle:
   addition identities of the u-sequence, three squares a level; the term is
   read from the pair at n // 2 as one quadratic form.
 
-In both, the readout is one full-size product and one square of the
-half-size values the loop ends with.
+In both, the readout is one binary quadratic form of the two half-size
+values the loop ends with, evaluated by ``_quadratic_form`` as two squares.
 
 Both routes run on Python ints at the integer point of
 :mod:`biperiodic.core`, where every kind starts as W does from its initial
@@ -65,6 +65,37 @@ def _exact_div(x: int, d: int) -> int:
     if remainder:
         raise ArithmeticError(f"inexact division by {d} at an integer point")
     return quotient
+
+
+def _quadratic_form(
+    alpha: int, beta: int, gamma: int, x: int, y: int, counter: OpCounter | None
+) -> int:
+    """alpha x^2 + beta x y + gamma y^2, for small alpha, beta, gamma and full-size x, y.
+
+    Completing the square,
+
+        4 alpha Q = (2 alpha x + beta y)^2 - (beta^2 - 4 alpha gamma) y^2,
+
+    so the form takes two full-size squares and one exact division by
+    4 alpha, where x (alpha x + beta y) + gamma y^2 takes a product and a
+    square; CPython squares a 40k-70k-bit int at about 1/1.45 the cost of a
+    product.  At alpha = 0 the form is gamma y^2 + beta y x, so x and y swap
+    roles, and at alpha = gamma = 0 it is beta x y.  The counter gets 8
+    operations, or 2 for beta x y; a product by 2 or 4 is not counted.
+    """
+    if not alpha:
+        if not gamma:
+            if counter is not None:
+                counter.add(2)
+            return beta * x * y
+        alpha, gamma, x, y = gamma, alpha, y, x
+    t = 2 * alpha * x + beta * y
+    form = _exact_div(t * t - (beta * beta - 4 * alpha * gamma) * (y * y), 4 * alpha)
+    if counter is not None:
+        # alpha x, beta y, the two squares, beta^2, alpha gamma, the product
+        # by the discriminant and the division
+        counter.add(8)
+    return form
 
 
 def _u_pair(pt: _IntegerPoint, n: int, counter: OpCounter | None) -> tuple[int, int]:
@@ -138,10 +169,11 @@ def term_doubling(
         a x'(n) = X (alpha X + beta Y) + gamma Y^2,
 
     with small ints alpha, beta and gamma built from the point and the
-    parities of n and k.  The readout is one full-size product, one square
-    and one exact division by a.  The result is one Fraction (see the
-    module docstring).  A negative index is the same route at the integer
-    point of the reflected point, from ``_reflected_point``.
+    parities of n and k.  The readout is that form, two full-size squares
+    by ``_quadratic_form``, and one exact division by a.  The result is one
+    Fraction (see the module docstring).  A negative index is the same
+    route at the integer point of the reflected point, from
+    ``_reflected_point``.
     """
     if n == 0:
         return initial_pair(p, kind)[0]
@@ -157,11 +189,11 @@ def term_doubling(
     else:  # a r u'(2k) + a x0 u'(2k+1), since c u'(2k-1) = u'(2k+1) - b u'(2k)
         ar = a * r
         alpha, beta, gamma = chi_k1 * (c * x0 - ar), 2 * ar, chi_k * x0
-    numer = _exact_div(u_k * (alpha * u_k + beta * u_k1) + gamma * (u_k1 * u_k1), a)
+    numer = _exact_div(_quadratic_form(alpha, beta, gamma, u_k, u_k1, counter), a)
     if counter is not None:
-        # r (1); alpha, beta and gamma (5 at odd n, 4 at even n); the form
-        # (5); the division (1)
-        counter.add(12 if n % 2 else 11)
+        # r (1); alpha, beta and gamma (5 at odd n, 4 at even n); the
+        # division (1); the form counts itself
+        counter.add(7 if n % 2 else 6)
     return _term(pt, numer, _scale(pt, n))
 
 
@@ -187,9 +219,10 @@ def term_matrix(
     last level is not squared out: with y = P^(e mod 2) (x'(2), x'(1)) and
     s_j the selected row of P^j y, P^e y = (alpha P + beta I)^2 y gives
 
-        x'(n) = alpha (alpha s2 + 2 beta s1) + beta^2 s0,
+        x'(n) = s2 alpha^2 + 2 s1 alpha beta + s0 beta^2,
 
-    one full-size product and one square, since the s_j are small ints.
+    a quadratic form in (alpha, beta) with the small ints s_j as its
+    coefficients, read as two full-size squares by ``_quadratic_form``.
     The result is one Fraction (see the module docstring).  A negative index
     is the same route at the integer point of the reflected point, from
     ``_reflected_point``.
@@ -217,11 +250,11 @@ def term_matrix(
         s0, s1, s2 = y2, z2, b * z1 + c * z2
     else:
         s0, s1, s2 = y1, z1, ab_c * z1 + ac * z2
-    numer = alpha * (alpha * s2 + 2 * beta * s1) + beta * beta * s0
+    numer = _quadratic_form(s2, 2 * s1, s0, alpha, beta, counter)
     if counter is not None:
         # ab + c, ac and d (3); x'(2) (2); P (x'(2), x'(1)) when e is odd
-        # (4); P y (4); the row of P^2 y (2); the readout (5)
-        counter.add(16 + 4 * odd_e)
+        # (4); P y (4); the row of P^2 y (2); the form counts itself
+        counter.add(11 + 4 * odd_e)
     return _term(pt, numer, _scale(pt, n))
 
 

@@ -332,10 +332,10 @@ class TestBench:
         assert masked.splitlines() == [
             "sequence w(0,1;1,1,1) kind=w repeat=2",
             "method              n         muls      seconds",
-            "matrix             64           48 S",
-            "doubling           64           46 S",
-            "matrix            256           62 S",
-            "doubling          256           60 S",
+            "matrix             64           51 S",
+            "doubling           64           49 S",
+            "matrix            256           65 S",
+            "doubling          256           63 S",
         ]
 
     def test_json_rows(self, capsys: pytest.CaptureFixture[str]) -> None:
@@ -412,7 +412,7 @@ class TestBench:
         counted = [counter for is_timed, counter in calls if not is_timed]
         assert len(timed) == 2 * 2 * 3 and all(counter is None for counter in timed)
         assert len(counted) == 2 * 2 and all(counter is not None for counter in counted)
-        assert "matrix             64           48 " in capsys.readouterr().out
+        assert "matrix             64           51 " in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         ("args", "message"),

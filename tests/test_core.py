@@ -431,6 +431,31 @@ class TestTermTable:
                 assert check_outcome(check, point, args) == fresh[point, check]
 
 
+class TestScale:
+    """``_scale`` builds M lam^floor(k/2) mu^ceil(k/2) from the odd part of lam mu
+    and a shift."""
+
+    @pytest.mark.parametrize(
+        ("p", "kinds", "lam_mu", "m"),
+        [
+            (Params(1, 1, 1, 0, 1), list(SequenceKind), (1, 1), 1),
+            (Params("1/3", 5, 1), list(SequenceKind), (3, 3), 1),
+            # lam mu is a power of two at the reflected point
+            (Params("1/2", 3, "-2/5", "1/3", 2), [W], (10, 8), 3),
+        ],
+        ids=["fibonacci", "odd", "rational"],
+    )
+    def test_matches_the_rule_written_out(
+        self, p: Params, kinds: list[SequenceKind], lam_mu: tuple[int, int], m: int
+    ) -> None:
+        for kind in kinds:
+            for pt, product in zip((_integer_point(p, kind), _reflected_point(p, kind)), lam_mu):
+                assert (pt.lam * pt.mu, pt.m) == (product, m), kind
+                for k in (*range(201), *(2**16 + j for j in range(4))):
+                    rule = pt.m * pt.lam ** (k // 2) * pt.mu ** ((k + 1) // 2)
+                    assert _scale(pt, k) == rule, (kind, k)
+
+
 @st.composite
 def scaled_numerators(draw: st.DrawFn) -> tuple[_IntegerPoint, int, int]:
     """A point's scale data, an index k >= 0 and a numerator to reduce over its scale.

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from biperiodic import fastpath
 from biperiodic.core import Params, SequenceKind, _integer_point, _scale, initial_pair, term_naive
 from biperiodic.exact import OpCounter
 from biperiodic.fastpath import Method, term_doubling, term_fast, term_matrix, uv_doubling
-from biperiodic.fastpath import _u_pair
+from biperiodic.fastpath import _quadratic_form, _u_pair
 from conftest import P_STAR, random_params
 
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
@@ -138,16 +139,17 @@ class TestMatrixReadout:
         ("e", "muls"),
         [
             # no loop level: ab + c, ac and d (3), x2 (2), P y (4), the row of
-            # P^2 y (2), the readout (5), and y = P (x2, x1) (4) when e is odd
-            (0, 16),
-            (1, 20),
+            # P^2 y (2), the form of the readout (8), and y = P (x2, x1) (4)
+            # when e is odd
+            (0, 19),
+            (1, 23),
             # h = 1: one level that squares (5) and multiplies by P (2)
-            (2, 7 + 16),
-            (3, 7 + 20),
+            (2, 7 + 19),
+            (3, 7 + 23),
             # e = 2^k - 1: h = 2^(k-1) - 1 has k - 1 set bits
-            *((2**k - 1, 7 * (k - 1) + 20) for k in (3, 5, 10, 17)),
+            *((2**k - 1, 7 * (k - 1) + 23) for k in (3, 5, 10, 17)),
             # e = 2^k: h = 2^(k-1) has one set bit and k - 1 clear ones
-            *((2**k, 7 + 5 * (k - 1) + 16) for k in (2, 5, 10, 17)),
+            *((2**k, 7 + 5 * (k - 1) + 19) for k in (2, 5, 10, 17)),
         ],
     )
     def test_multiplication_count(self, e: int, muls: int) -> None:
@@ -180,12 +182,85 @@ class TestDoublingCount:
     def test_multiplication_count(self, n: int) -> None:
         # each level of the walk 7, each set bit of k below the leading one 2
         # more; the readout r (1), alpha, beta and gamma (4, and 5 at odd n),
-        # the form (5) and the division by a (1); n = 1 walks nothing
+        # the form (8) and the division by a (1); n = 1 walks nothing
         walk = n // 2
         levels, steps = max(walk.bit_length() - 1, 0), max(bin(walk).count("1") - 1, 0)
         counter = OpCounter()
         term_doubling(P_STAR, W, n, counter)
-        assert counter.muls == 7 * levels + 2 * steps + 11 + n % 2
+        assert counter.muls == 7 * levels + 2 * steps + 14 + n % 2
+
+
+# Points at which a route's readout form loses its x^2 term (alpha = 0), or
+# both square terms (alpha = gamma = 0), so ``_quadratic_form`` swaps x and y
+# or returns beta x y.
+BRANCH_POINTS = {
+    # ab + 2c = 0: v(k) = 0 at every k = 2 mod 4, so doubling's alpha is 0
+    # at even n and matrix's s2 and s0 both vanish at some n
+    "v-at-2,1,-1": (Params(2, 1, -1), V),
+    # w1 = b w0, so c x'(-1) = x1 - b x0 = 0 and doubling's alpha is 0 at odd n
+    "w-at-1/2,3,-2/5,2,6": (Params(Fraction(1, 2), 3, Fraction(-2, 5), 2, 6), W),
+    # every coefficient of both forms is 0
+    "zero": (Params(2, 3, 1, 0, 0), W),
+    # w(5) = 0, so matrix's s2 = x'(5) is 0 at n = 1 mod 4
+    "w-at-1,1,1,5,-3": (Params(1, 1, 1, 5, -3), W),
+}
+
+
+def form_branch(alpha: int, gamma: int) -> str:
+    if alpha:
+        return "square"
+    return "swap" if gamma else "beta x y"
+
+
+class TestQuadraticForm:
+    """Both routes read their term as alpha x^2 + beta x y + gamma y^2 through
+    ``_quadratic_form``, which completes the square."""
+
+    coefficients = st.integers(-50, 50)
+    values = st.integers(-(2**200), 2**200)
+
+    @given(alpha=coefficients, beta=coefficients, gamma=coefficients, x=values, y=values)
+    @example(alpha=0, beta=7, gamma=-3, x=2**200, y=-(2**199) - 1)
+    @example(alpha=0, beta=-7, gamma=0, x=-(2**200), y=2**199 + 1)
+    @example(alpha=0, beta=0, gamma=0, x=5, y=3)
+    def test_matches_the_form_written_out(
+        self, alpha: int, beta: int, gamma: int, x: int, y: int
+    ) -> None:
+        counter = OpCounter()
+        assert _quadratic_form(alpha, beta, gamma, x, y, counter) == (
+            alpha * x * x + beta * x * y + gamma * y * y
+        )
+        assert counter.muls == (2 if form_branch(alpha, gamma) == "beta x y" else 8)
+
+    @pytest.mark.parametrize(("p", "kind"), list(BRANCH_POINTS.values()), ids=list(BRANCH_POINTS))
+    def test_branch_points_match_the_naive_walk(self, p: Params, kind: SequenceKind) -> None:
+        for n in range(-300, 301):
+            expected = term_naive(p, kind, n)
+            assert term_doubling(p, kind, n) == expected, n
+            assert term_matrix(p, kind, n) == expected, n
+
+    @pytest.mark.parametrize(("p", "kind"), list(BRANCH_POINTS.values()), ids=list(BRANCH_POINTS))
+    def test_branch_points_agree_past_2_to_the_12(self, p: Params, kind: SequenceKind) -> None:
+        for j in range(-1, 4):
+            for n in (2**12 + j, -(2**12 + j)):
+                assert term_doubling(p, kind, n) == term_matrix(p, kind, n), n
+
+    def test_each_route_reaches_every_branch(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        # the routes look the form up at each call, so a wrapper sees its
+        # coefficients
+        real, seen = fastpath._quadratic_form, set()
+
+        def recording(alpha: int, beta: int, gamma: int, x: int, y: int, counter) -> int:
+            seen.add(form_branch(alpha, gamma))
+            return real(alpha, beta, gamma, x, y, counter)
+
+        monkeypatch.setattr(fastpath, "_quadratic_form", recording)
+        for route in (term_doubling, term_matrix):
+            seen.clear()
+            for p, kind in BRANCH_POINTS.values():
+                for n in range(-12, 13):
+                    route(p, kind, n)
+            assert seen == {"square", "swap", "beta x y"}, route.__name__
 
 
 class TestIdentitiesAtDepth:

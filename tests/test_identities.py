@@ -320,6 +320,38 @@ class TestReport:
         assert report.lhs == Fraction(ln, ld) and report.rhs == Fraction(rn, rd)
         assert report.to_dict()["pass"] is report.passed
 
+    @given(left=unreduced, right=unreduced, printed=st.one_of(st.none(), unreduced))
+    def test_built_as_the_constructor_builds(
+        self,
+        left: tuple[int, int, int],
+        right: tuple[int, int, int],
+        printed: tuple[int, int, int] | None,
+    ) -> None:
+        # _report fills the frozen instance without its generated __init__
+        ident, indices = _identity(Family.SUM, "u"), {"m": 2, "n": 3}
+
+        def ratio(side: tuple[int, int, int]) -> _Ratio:
+            return _Ratio(side[0] * side[2], side[1] * side[2])
+
+        def value(side: tuple[int, int, int]) -> Fraction:
+            return Fraction(side[0], side[1])
+
+        built = _report(
+            ident, P_STAR, indices, ratio(left), ratio(right),
+            printed=None if printed is None else ratio(printed),
+        )
+        public = identities.IdentityReport(
+            ident, P_STAR, indices, value(left), value(right), value(left) == value(right),
+            None if printed is None else value(printed),
+        )
+        assert built == public and repr(built) == repr(public)
+        assert built.to_dict() == public.to_dict()
+        assert built.printed_form_matches is public.printed_form_matches
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.passed = not built.passed  # type: ignore[misc]
+        with pytest.raises(TypeError):  # indices is a dict
+            hash(built)
+
     # One check of each family, its arguments after the point, and a term it
     # reads: the ratios that hold the term, from the point's memo, and its index.
     ALTERED = [
