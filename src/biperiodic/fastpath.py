@@ -5,14 +5,18 @@ Two independent fast routes are provided next to the linear-time oracle:
 * ``matrix`` -- binary powers of the period-2 transfer matrix P, which
   advances a pair of consecutive terms by one full period of the recurrence.
   By Cayley-Hamilton every power of P is alpha P + beta I, so a power is
-  kept as the two ints (alpha, beta) and a level is three squares; the term
-  is read from the half power, never from a last full square;
+  kept as the two ints (alpha, beta), and det(P^h) = d^h gives alpha beta
+  from alpha^2, beta^2 and d^h: a level is two squares, and the term is
+  read from the half power as one product;
 * ``doubling`` -- index doubling on the pair (u(n), u(n+1)), driven by the
-  addition identities of the u-sequence, three squares a level; the term is
-  read from the pair at n // 2 as one quadratic form.
+  addition identities of the u-sequence and its quadratic identity (L1.1),
+  which gives u(k) u(k+1) from the two squares and (-c)^k: a level is two
+  squares, and the term is read from the pair at n // 2 as one product.
 
-In both, the readout is one binary quadratic form of the two half-size
-values the loop ends with, evaluated by ``_quadratic_form`` as two squares.
+Both loops carry their power of c, (-c)^k or d^h = c^(2h), as a power of
+its odd part, squared along the walk, and a left shift, so no power of two
+is ever squared as an int.  Every division of both routes is exact and
+checked.
 
 Both routes run on Python ints at the integer point of
 :mod:`biperiodic.core`, where every kind starts as W does from its initial
@@ -60,82 +64,77 @@ class Method(Enum):
     DOUBLING = "doubling"
 
 
-def _exact_div(x: int, d: int) -> int:
-    quotient, remainder = divmod(x, d)
-    if remainder:
-        raise ArithmeticError(f"inexact division by {d} at an integer point")
-    return quotient
-
-
-def _quadratic_form(
-    alpha: int, beta: int, gamma: int, x: int, y: int, counter: OpCounter | None
-) -> int:
-    """alpha x^2 + beta x y + gamma y^2, for small alpha, beta, gamma and full-size x, y.
-
-    Completing the square,
-
-        4 alpha Q = (2 alpha x + beta y)^2 - (beta^2 - 4 alpha gamma) y^2,
-
-    so the form takes two full-size squares and one exact division by
-    4 alpha, where x (alpha x + beta y) + gamma y^2 takes a product and a
-    square; CPython squares a 40k-70k-bit int at about 1/1.45 the cost of a
-    product.  At alpha = 0 the form is gamma y^2 + beta y x, so x and y swap
-    roles, and at alpha = gamma = 0 it is beta x y.  The counter gets 8
-    operations, or 2 for beta x y; a product by 2 or 4 is not counted.
-    """
-    if not alpha:
-        if not gamma:
-            if counter is not None:
-                counter.add(2)
-            return beta * x * y
-        alpha, gamma, x, y = gamma, alpha, y, x
-    t = 2 * alpha * x + beta * y
-    form = _exact_div(t * t - (beta * beta - 4 * alpha * gamma) * (y * y), 4 * alpha)
-    if counter is not None:
-        # alpha x, beta y, the two squares, beta^2, alpha gamma, the product
-        # by the discriminant and the division
-        counter.add(8)
-    return form
-
-
-def _u_pair(pt: _IntegerPoint, n: int, counter: OpCounter | None) -> tuple[int, int]:
-    """(u'(n), u'(n+1)) at the integer point for n >= 0, by index doubling.
+def _u_pair(pt: _IntegerPoint, n: int, counter: OpCounter | None) -> tuple[int, int, int]:
+    """(u'(n), u'(n+1), (-c)^n) at the integer point for n >= 0, by index doubling.
 
     u' is the sequence at the integer point from (u'(0), u'(1)) = (0, 1), so
     the U kind's x' there is x1 u'.  The walk starts at (u'(1), u'(2)) =
     (1, a), because u'(-1) = 1/c is not an integer.  With chi(j) = a at even
-    j and b at odd j, one level maps the pair at k to the pair at 2k:
+    j and b at odd j, one level maps the pair (X, Y) at k to the pair at 2k:
 
-        u(2k)     = 2 u(k) u(k+1) - chi(k+1) u(k)^2,
-        a u(2k+1) = chi(k) u(k+1)^2 + c chi(k+1) u(k)^2,
+        u(2k)     = 2 X Y - chi(k+1) X^2,
+        a u(2k+1) = chi(k) Y^2 + c chi(k+1) X^2,
 
-    the first because c u(k-1) = u(k+1) - chi(k+1) u(k).  Every even-index
-    term is a multiple of a, so the division by a is exact.  The level's
-    only full-size products are three squares: u(k)^2, u(k+1)^2 and
-    (u(k) + u(k+1))^2, which less the other two is 2 u(k) u(k+1).  The
-    counter gets 7 operations a level and 2 more for each set bit of n
-    below the leading one.
+    the first because c u(k-1) = u(k+1) - chi(k+1) u(k).  The quadratic
+    identity L1.1 at the integer point,
+
+        chi(k) Y^2 - ab X Y - c chi(k+1) X^2 = a (-c)^k,
+
+    gives X Y from the two squares and the power, so X^2 and Y^2 are the
+    level's only full-size products.  At odd k, with q = b Y^2 / a and the
+    trace t = ab + 2c of ``term_matrix``, that makes
+
+        u(2k+1) = q + c X^2,
+        b u(2k) = 2 q - t X^2 - 2 (-c)^k,
+
+    and at even k, with q = bc X^2 / a,
+
+        u(2k+1) = Y^2 + q,
+        b u(2k) = 2 (Y^2 - q) - b^2 X^2 - 2 (-c)^k.
+
+    Every even-index term is a multiple of a, so the division by a is
+    exact, and the division by b gives the int u(2k); both are checked.
+    With -c = odd 2^shift, 2 (-c)^k is odd^k shifted left by shift k + 1,
+    and odd^k is squared along the walk.  The counter gets 3 operations for
+    the constants t, bc and b^2, then 8 a level from odd k and 7 from even
+    k (the two squares, the products by the constants, the two divisions
+    and the square of odd^k), and 3 more for each set bit of n below the
+    leading one.
     """
     if n == 0:
-        return 0, 1
+        return 0, 1, 1
     a, b, c = pt.a, pt.b, pt.c
-    u_k, u_k1 = 1, a
-    odd = True  # parity of the index k of u_k
+    shift = (c & -c).bit_length() - 1
+    odd = -c >> shift
+    t, bc, b_b = a * b + 2 * c, b * c, b * b
+    if counter is not None:
+        counter.add(3)
+    u_k, u_k1, power, exp = 1, a, odd, shift + 1  # power = odd^k, exp = shift k + 1
+    odd_k = True
     for bit in bin(n)[3:]:
-        xx, yy, both = u_k * u_k, u_k1 * u_k1, u_k + u_k1
-        two_xy = both * both - xx - yy
-        if odd:
-            u_k, u_k1 = two_xy - a * xx, _exact_div(b * yy, a) + c * xx
+        xx, yy = u_k * u_k, u_k1 * u_k1
+        if odd_k:
+            q, rem = divmod(b * yy, a)
+            u_k1 = q + c * xx
+            u_k, rem2 = divmod(2 * q - t * xx - (power << exp), b)
         else:
-            u_k, u_k1 = two_xy - b * xx, yy + _exact_div(b * c * xx, a)
+            q, rem = divmod(bc * xx, a)
+            u_k1 = yy + q
+            u_k, rem2 = divmod(2 * (yy - q) - b_b * xx - (power << exp), b)
+        if rem or rem2:
+            raise ArithmeticError("inexact division at an integer point")
         if counter is not None:
-            counter.add(7)
-        odd = bit == "1"
-        if odd:
+            counter.add(8 if odd_k else 7)
+        power *= power
+        exp += exp - 1
+        odd_k = bit == "1"
+        if odd_k:
             u_k, u_k1 = u_k1, a * u_k1 + c * u_k
+            power *= odd
+            exp += shift
             if counter is not None:
-                counter.add(2)
-    return u_k, u_k1
+                counter.add(3)
+    return u_k, u_k1, power << (shift * n)
 
 
 def uv_doubling(
@@ -152,7 +151,7 @@ def uv_doubling(
     if n < 0:
         raise ValueError("doubling is defined for n >= 0")
     pt = _integer_point(p, SequenceKind.U)
-    u_n, u_next = _u_pair(pt, n, counter)
+    u_n, u_next, _ = _u_pair(pt, n, counter)
     return _term(pt, pt.x1 * u_n, _scale(pt, n)), _term(pt, pt.x1 * u_next, _scale(pt, n + 1))
 
 
@@ -163,16 +162,21 @@ def term_doubling(
 
     For n >= 1, x'(n) = x1 u'(n) + c x0 (b/a)^zeta(n) u'(n-1), with zeta(n)
     = n mod 2.  ``_u_pair`` doubles on ints only up to (X, Y) = (u'(k),
-    u'(k+1)) with k = n // 2; the last level's identities put u'(n) and
-    u'(n-1) in terms of X and Y, so that
+    u'(k+1)) with k = n // 2, and (-c)^k.  The last level's identities put
+    a x'(n) as a quadratic form in X and Y, and the quadratic identity L1.1
+    of ``_u_pair`` trades its Y^2 term for X Y, X^2 and (-c)^k, so that
 
-        a x'(n) = X (alpha X + beta Y) + gamma Y^2,
+        x'(n) = X (alpha X + beta Y) / (a chi(k)) + x (-c)^k,
 
-    with small ints alpha, beta and gamma built from the point and the
-    parities of n and k.  The readout is that form, two full-size squares
-    by ``_quadratic_form``, and one exact division by a.  The result is one
-    Fraction (see the module docstring).  A negative index is the same
-    route at the integer point of the reflected point, from
+    with x = x1 at odd n and x0 at even n, and small ints alpha and beta
+    built from the point and the parities of n and k:
+
+        odd n:   alpha = abc (2 x1 - b x0),         beta = b chi(k) (2c x0 + a x1),
+        even n:  alpha = ab ((ab + 2c) x0 - a x1),  beta = a chi(k) (2 x1 - b x0).
+
+    The readout is one full-size product and one exact division.  The
+    result is one Fraction (see the module docstring).  A negative index is
+    the same route at the integer point of the reflected point, from
     ``_reflected_point``.
     """
     if n == 0:
@@ -180,20 +184,22 @@ def term_doubling(
     pt, n = (_reflected_point(p, kind), -n) if n < 0 else (_integer_point(p, kind), n)
     a, b, c, x0, x1 = pt.a, pt.b, pt.c, pt.x0, pt.x1
     k = n // 2
-    u_k, u_k1 = _u_pair(pt, k, counter)
-    # chi(k) and chi(k+1) of ``_u_pair``; r = x1 - b x0 is c x'(-1)
-    chi_k, chi_k1 = (b, a) if k % 2 else (a, b)
-    r = x1 - b * x0
-    if n % 2:  # a x1 u'(2k+1) + b c x0 u'(2k)
-        alpha, beta, gamma = c * chi_k1 * r, 2 * b * c * x0, chi_k * x1
-    else:  # a r u'(2k) + a x0 u'(2k+1), since c u'(2k-1) = u'(2k+1) - b u'(2k)
-        ar = a * r
-        alpha, beta, gamma = chi_k1 * (c * x0 - ar), 2 * ar, chi_k * x0
-    numer = _exact_div(_quadratic_form(alpha, beta, gamma, u_k, u_k1, counter), a)
+    u_k, u_k1, power = _u_pair(pt, k, counter)
+    # chi(k) of ``_u_pair``
+    chi_k = b if k % 2 else a
+    ab, den, s = a * b, a * chi_k, 2 * x1 - b * x0
+    if n % 2:
+        alpha, beta, x = ab * c * s, b * chi_k * (2 * c * x0 + a * x1), x1
+    else:
+        alpha, beta, x = ab * ((ab + 2 * c) * x0 - a * x1), den * s, x0
+    numer, rem = divmod(u_k * (alpha * u_k + beta * u_k1), den)
+    if rem:
+        raise ArithmeticError("inexact division at an integer point")
+    numer += x * power
     if counter is not None:
-        # r (1); alpha, beta and gamma (5 at odd n, 4 at even n); the
-        # division (1); the form counts itself
-        counter.add(7 if n % 2 else 6)
+        # b x0, ab and a chi(k) (3); alpha and beta (6 at odd n, 4 at even
+        # n); the three products, the division and x (-c)^k (5)
+        counter.add(14 if n % 2 else 12)
     return _term(pt, numer, _scale(pt, n))
 
 
@@ -209,23 +215,29 @@ def term_matrix(
     read from the top row when n is even and from the bottom row when n is
     odd.  By Cayley-Hamilton P^2 = t P - d I, with trace t = ab + 2c and
     determinant d = c^2, so every power of P is alpha P + beta I and is
-    kept as the two ints (alpha, beta).  The loop builds P^h with h = e // 2,
-    most significant bit first.  A level squares:
+    kept as the two ints (alpha, beta).  Its determinant is
+
+        det(alpha P + beta I) = d alpha^2 + t alpha beta + beta^2 = d^h.
+
+    The loop builds P^h with h = e // 2 from P, most significant bit
+    first.  A level squares:
 
         alpha' = t alpha^2 + 2 alpha beta,    beta' = beta^2 - d alpha^2,
 
-    from the three squares alpha^2, beta^2 and (alpha + beta)^2, and a set
-    bit multiplies by P: (alpha, beta) -> (t alpha + beta, -d alpha).  The
-    last level is not squared out: with y = P^(e mod 2) (x'(2), x'(1)) and
-    s_j the selected row of P^j y, P^e y = (alpha P + beta I)^2 y gives
+    with alpha beta = (d^h - d alpha^2 - beta^2) / t, so its only full-size
+    products are alpha^2 and beta^2, and a set bit multiplies by P:
+    (alpha, beta) -> (t alpha + beta, -d alpha).  With d = odd 2^shift,
+    d^h is odd^h shifted left by shift h, and odd^h is squared along the
+    loop.  The last level is not squared out: with y = P^(e mod 2) (x'(2),
+    x'(1)) and s_j the selected row of P^j y, P^e y = (alpha P + beta I)^2 y
+    and the determinant give
 
-        x'(n) = s2 alpha^2 + 2 s1 alpha beta + s0 beta^2,
+        x'(n) = alpha ((s2 - s0 d) alpha + (2 s1 - s0 t) beta) + s0 d^h,
 
-    a quadratic form in (alpha, beta) with the small ints s_j as its
-    coefficients, read as two full-size squares by ``_quadratic_form``.
-    The result is one Fraction (see the module docstring).  A negative index
-    is the same route at the integer point of the reflected point, from
-    ``_reflected_point``.
+    one full-size product and no division.  At t = 0, P^2 = -d I, so
+    x'(n) = (-d)^h s0 with no loop.  The result is one Fraction (see the
+    module docstring).  A negative index is the same route at the integer
+    point of the reflected point, from ``_reflected_point``.
     """
     if n == 0:
         return initial_pair(p, kind)[0]
@@ -234,27 +246,49 @@ def term_matrix(
     ab_c, ac = a * b + c, a * c
     t, d = ab_c + c, c * c
     half, odd_e = divmod((n - 1) // 2, 2)
-    alpha, beta = 0, 1
-    for bit in bin(half)[2:] if half else "":
-        aa, bb, both = alpha * alpha, beta * beta, alpha + beta
-        alpha, beta = t * aa + both * both - aa - bb, bb - d * aa
-        if bit == "1":
-            alpha, beta = t * alpha + beta, -d * alpha
-        if counter is not None:
-            counter.add(7 if bit == "1" else 5)
+    shift = 2 * (c & -c).bit_length() - 2
+    odd = d >> shift
     y1, y2 = a * x1 + c * x0, x1
     if odd_e:
         y1, y2 = ab_c * y1 + ac * y2, b * y1 + c * y2
+    if not t:
+        if counter is not None:
+            # ab + c, ac and d (3); x'(2) (2); P (x'(2), x'(1)) when e is
+            # odd (4); the power of -odd, counted as one, and its product
+            # by s0 (2)
+            counter.add(7 + 4 * odd_e)
+        numer = ((y2 if n % 2 else y1) * pow(-odd, half)) << (shift * half)
+        return _term(pt, numer, _scale(pt, n))
     z1, z2 = ab_c * y1 + ac * y2, b * y1 + c * y2  # P y
     if n % 2:
         s0, s1, s2 = y2, z2, b * z1 + c * z2
     else:
         s0, s1, s2 = y1, z1, ab_c * z1 + ac * z2
-    numer = _quadratic_form(s2, 2 * s1, s0, alpha, beta, counter)
+    # P^1, or P^0 when half = 0, with power = odd^h and exp = shift h
+    alpha, beta, power, exp = (1, 0, odd, shift) if half else (0, 1, 1, 0)
+    for bit in bin(half)[3:]:
+        aa, bb = alpha * alpha, beta * beta
+        d_aa = d * aa
+        alpha_beta, rem = divmod((power << exp) - d_aa - bb, t)
+        if rem:
+            raise ArithmeticError("inexact division at an integer point")
+        alpha, beta = t * aa + 2 * alpha_beta, bb - d_aa
+        power *= power
+        exp += exp
+        if bit == "1":
+            alpha, beta = t * alpha + beta, -d * alpha
+            power *= odd
+            exp += shift
+        if counter is not None:
+            # the two squares, d alpha^2, the division, t alpha^2 and the
+            # square of odd^h (6); t alpha, d alpha and odd^h odd (3)
+            counter.add(9 if bit == "1" else 6)
+    numer = alpha * ((s2 - s0 * d) * alpha + (2 * s1 - s0 * t) * beta) + (s0 * power << exp)
     if counter is not None:
         # ab + c, ac and d (3); x'(2) (2); P (x'(2), x'(1)) when e is odd
-        # (4); P y (4); the row of P^2 y (2); the form counts itself
-        counter.add(11 + 4 * odd_e)
+        # (4); P y (4); the row of P^2 y (2); s0 d and s0 t (2); the three
+        # products of the readout and s0 d^h (4)
+        counter.add(17 + 4 * odd_e)
     return _term(pt, numer, _scale(pt, n))
 
 

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biperiodic import fastpath
 from biperiodic.core import Params, SequenceKind, _integer_point, _scale, initial_pair, term_naive
 from biperiodic.exact import OpCounter
 from biperiodic.fastpath import Method, term_doubling, term_fast, term_matrix, uv_doubling
-from biperiodic.fastpath import _quadratic_form, _u_pair
+from biperiodic.fastpath import _u_pair
 from conftest import P_STAR, random_params
 
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
@@ -130,28 +129,30 @@ class TestMethodsAgree:
         assert counter.muls == doubling.muls
 
 
+# (e, muls) for term_matrix at P*, kind W, n = 2e + 1 and 2e + 2
+MATRIX_COUNTS = [
+    # no loop level: ab + c, ac and d (3), x2 (2), P y (4), the row of P^2 y
+    # (2), s0 d and s0 t (2), the readout's three products and s0 d^h (4),
+    # and y = P (x2, x1) (4) when e is odd
+    (0, 17),
+    (1, 21),
+    # h = 1: the loop starts at P, so still no level
+    (2, 17),
+    (3, 21),
+    # e = 2^k - 1: h = 2^(k-1) - 1 has k - 1 set bits, so k - 2 levels that
+    # square (6) and multiply by P (3)
+    *((2**k - 1, 9 * (k - 2) + 21) for k in (3, 5, 10, 17)),
+    # e = 2^k: h = 2^(k-1), so k - 1 levels that only square
+    *((2**k, 6 * (k - 1) + 17) for k in (2, 5, 10, 17)),
+]
+
+
 class TestMatrixReadout:
     """The matrix route keeps P^h as (alpha, beta) with P^h = alpha P + beta I,
-    stops at h = e // 2 for e = (n - 1) // 2, and reads x'(n) from alpha, beta
-    and the selected rows s_j of P^j P^(e mod 2) (x2, x1)."""
+    stops at h = e // 2 for e = (n - 1) // 2, and reads x'(n) from alpha, beta,
+    d^h and the selected rows s_j of P^j P^(e mod 2) (x2, x1)."""
 
-    @pytest.mark.parametrize(
-        ("e", "muls"),
-        [
-            # no loop level: ab + c, ac and d (3), x2 (2), P y (4), the row of
-            # P^2 y (2), the form of the readout (8), and y = P (x2, x1) (4)
-            # when e is odd
-            (0, 19),
-            (1, 23),
-            # h = 1: one level that squares (5) and multiplies by P (2)
-            (2, 7 + 19),
-            (3, 7 + 23),
-            # e = 2^k - 1: h = 2^(k-1) - 1 has k - 1 set bits
-            *((2**k - 1, 7 * (k - 1) + 23) for k in (3, 5, 10, 17)),
-            # e = 2^k: h = 2^(k-1) has one set bit and k - 1 clear ones
-            *((2**k, 7 + 5 * (k - 1) + 19) for k in (2, 5, 10, 17)),
-        ],
-    )
+    @pytest.mark.parametrize(("e", "muls"), MATRIX_COUNTS, ids=[str(e) for e, _ in MATRIX_COUNTS])
     def test_multiplication_count(self, e: int, muls: int) -> None:
         for n in (2 * e + 1, 2 * e + 2):
             counter = OpCounter()
@@ -174,63 +175,90 @@ class TestMatrixReadout:
 
 class TestDoublingCount:
     """The doubling route walks the u-pair from index 1 up to k = n // 2, then
-    reads a x'(n) as a quadratic form in u'(k) and u'(k+1)."""
+    reads x'(n) with one full-size product."""
 
     @pytest.mark.parametrize(
         "n", [1, 2, 3, *(2**k + j for k in (2, 5, 10, 17) for j in (-1, 0, 1))]
     )
     def test_multiplication_count(self, n: int) -> None:
-        # each level of the walk 7, each set bit of k below the leading one 2
-        # more; the readout r (1), alpha, beta and gamma (4, and 5 at odd n),
-        # the form (8) and the division by a (1); n = 1 walks nothing
+        # the walk's constants 3; each level 7, and 1 more from odd k; each
+        # set bit of k below the leading one 3; the readout b x0, ab and
+        # a chi(k) (3), alpha and beta (4, and 6 at odd n), the three
+        # products, the division and x (-c)^k (5); n = 1 walks nothing
         walk = n // 2
         levels, steps = max(walk.bit_length() - 1, 0), max(bin(walk).count("1") - 1, 0)
+        odd_levels = bin(walk >> 1).count("1")
+        constants = 3 if walk else 0
         counter = OpCounter()
         term_doubling(P_STAR, W, n, counter)
-        assert counter.muls == 7 * levels + 2 * steps + 14 + n % 2
+        assert counter.muls == (
+            constants + 7 * levels + odd_levels + 3 * steps + 12 + 2 * (n % 2)
+        )
 
 
-# Points at which a route's readout form loses its x^2 term (alpha = 0), or
-# both square terms (alpha = gamma = 0), so ``_quadratic_form`` swaps x and y
-# or returns beta x y.
+# Edge points of the readouts and of the matrix route's t = 0 case.
 BRANCH_POINTS = {
-    # ab + 2c = 0: v(k) = 0 at every k = 2 mod 4, so doubling's alpha is 0
-    # at even n and matrix's s2 and s0 both vanish at some n
+    # t = ab + 2c = 0 with d = 1: P^2 = -I, and v(k) = 0 at every k = 2 mod 4
     "v-at-2,1,-1": (Params(2, 1, -1), V),
-    # w1 = b w0, so c x'(-1) = x1 - b x0 = 0 and doubling's alpha is 0 at odd n
+    # t = 0 with d = 4, so (-d)^h carries a shift
+    "v-at-4,1,-2": (Params(4, 1, -2), V),
+    "w-at-4,1,-2": (Params(4, 1, -2), W),
+    # w1 = b w0, so c x'(-1) = x1 - b x0 = 0
     "w-at-1/2,3,-2/5,2,6": (Params(Fraction(1, 2), 3, Fraction(-2, 5), 2, 6), W),
-    # every coefficient of both forms is 0
+    # every term is 0
     "zero": (Params(2, 3, 1, 0, 0), W),
     # w(5) = 0, so matrix's s2 = x'(5) is 0 at n = 1 mod 4
     "w-at-1,1,1,5,-3": (Params(1, 1, 1, 5, -3), W),
 }
 
+integer_coefficients = st.integers(-9, 9).filter(bool)
 
-def form_branch(alpha: int, gamma: int) -> str:
-    if alpha:
-        return "square"
-    return "swap" if gamma else "beta x y"
+
+def matrix_power(m: list[list[int]], h: int) -> list[list[int]]:
+    """m^h for a 2x2 int matrix, by h plain products."""
+    out = [[1, 0], [0, 1]]
+    for _ in range(h):
+        (p, q), (r, s) = out
+        out = [[p * m[0][0] + q * m[1][0], p * m[0][1] + q * m[1][1]],
+               [r * m[0][0] + s * m[1][0], r * m[0][1] + s * m[1][1]]]
+    return out
 
 
 class TestQuadraticForm:
-    """Both routes read their term as alpha x^2 + beta x y + gamma y^2 through
-    ``_quadratic_form``, which completes the square."""
+    """Both routes rest on a binary quadratic form that equals a power of c:
+    L1.1 for the doubling pair, det(alpha P + beta I) = d^h for the matrix."""
 
-    coefficients = st.integers(-50, 50)
-    values = st.integers(-(2**200), 2**200)
+    @settings(max_examples=30)
+    @given(a=integer_coefficients, b=integer_coefficients, c=integer_coefficients)
+    @example(a=1, b=1, c=1)
+    @example(a=4, b=1, c=-2)
+    def test_doubling_identity_on_a_plain_walk(self, a: int, b: int, c: int) -> None:
+        # u'(k+1) = chi(k+1) u'(k) + c u'(k-1) from (0, 1), chi = a at even
+        # index and b at odd
+        u = [0, 1]
+        for k in range(1, 302):
+            u.append((b if k % 2 == 0 else a) * u[k] + c * u[k - 1])
+        pt = _integer_point(Params(a, b, c), U)
+        for k in range(301):
+            chi_k, chi_k1 = (b, a) if k % 2 else (a, b)
+            x, y = u[k], u[k + 1]
+            assert chi_k * y * y - a * b * x * y - c * chi_k1 * x * x == a * (-c) ** k, k
+            assert _u_pair(pt, k, None) == (x, y, (-c) ** k), k
 
-    @given(alpha=coefficients, beta=coefficients, gamma=coefficients, x=values, y=values)
-    @example(alpha=0, beta=7, gamma=-3, x=2**200, y=-(2**199) - 1)
-    @example(alpha=0, beta=-7, gamma=0, x=-(2**200), y=2**199 + 1)
-    @example(alpha=0, beta=0, gamma=0, x=5, y=3)
-    def test_matches_the_form_written_out(
-        self, alpha: int, beta: int, gamma: int, x: int, y: int
-    ) -> None:
-        counter = OpCounter()
-        assert _quadratic_form(alpha, beta, gamma, x, y, counter) == (
-            alpha * x * x + beta * x * y + gamma * y * y
-        )
-        assert counter.muls == (2 if form_branch(alpha, gamma) == "beta x y" else 8)
+    @given(
+        a=integer_coefficients, b=integer_coefficients, c=integer_coefficients,
+        h=st.integers(0, 60),
+    )
+    @example(a=4, b=1, c=-2, h=7)
+    def test_determinant_of_a_power(self, a: int, b: int, c: int, h: int) -> None:
+        transfer = [[a * b + c, a * c], [b, c]]
+        t, d = a * b + 2 * c, c * c
+        power = matrix_power(transfer, h)
+        # P^h = alpha P + beta I: the bottom left of I is 0
+        alpha = power[1][0] // b
+        beta = power[1][1] - alpha * c
+        assert power == [[alpha * (a * b + c) + beta, alpha * a * c], [alpha * b, alpha * c + beta]]
+        assert d * alpha * alpha + t * alpha * beta + beta * beta == d**h
 
     @pytest.mark.parametrize(("p", "kind"), list(BRANCH_POINTS.values()), ids=list(BRANCH_POINTS))
     def test_branch_points_match_the_naive_walk(self, p: Params, kind: SequenceKind) -> None:
@@ -245,22 +273,21 @@ class TestQuadraticForm:
             for n in (2**12 + j, -(2**12 + j)):
                 assert term_doubling(p, kind, n) == term_matrix(p, kind, n), n
 
-    def test_each_route_reaches_every_branch(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        # the routes look the form up at each call, so a wrapper sees its
-        # coefficients
-        real, seen = fastpath._quadratic_form, set()
-
-        def recording(alpha: int, beta: int, gamma: int, x: int, y: int, counter) -> int:
-            seen.add(form_branch(alpha, gamma))
-            return real(alpha, beta, gamma, x, y, counter)
-
-        monkeypatch.setattr(fastpath, "_quadratic_form", recording)
-        for route in (term_doubling, term_matrix):
-            seen.clear()
-            for p, kind in BRANCH_POINTS.values():
-                for n in range(-12, 13):
-                    route(p, kind, n)
-            assert seen == {"square", "swap", "beta x y"}, route.__name__
+    @pytest.mark.parametrize(
+        "p",
+        [Params(2, 1, -1), Params(4, 1, -2, 3, 5), Params(6, 1, -3, 2, 7)],
+        ids=["d=1", "d=4", "d=9"],
+    )
+    def test_matrix_route_at_zero_trace_runs_no_loop(self, p: Params) -> None:
+        # t = 0 at the point and at its reflection; the count of the t = 0
+        # case is 7, and 4 more when e is odd, at every index
+        for n in (*range(1, 40), 2**12 + 1, 2**12 + 3, 10**5):
+            for index in (n, -n):
+                counter = OpCounter()
+                value = term_matrix(p, W, index, counter)
+                assert counter.muls == 7 + 4 * ((n - 1) // 2 % 2), index
+                if n < 40:
+                    assert value == term_naive(p, W, index), index
 
 
 class TestIdentitiesAtDepth:
@@ -399,7 +426,7 @@ class TestIntegerPointScaling:
         pt = _integer_point(p, W)
         # x'(n) = x1 u'(n) + c x0 (b/a) u'(n-1) at odd n, where u'(n-1) is a
         # multiple of a
-        u_prev, u_n = _u_pair(pt, n - 1, None)
+        u_prev, u_n, _ = _u_pair(pt, n - 1, None)
         assert u_prev % pt.a == 0
         numer, den = pt.x1 * u_n + pt.c * pt.x0 * pt.b * (u_prev // pt.a), _scale(pt, n)
         assert math.gcd(numer, den) == common
