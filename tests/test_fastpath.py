@@ -224,9 +224,87 @@ def matrix_power(m: list[list[int]], h: int) -> list[list[int]]:
     return out
 
 
+class RecordingCounter(OpCounter):
+    """An ``OpCounter`` that also keeps the set of amounts it was given."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.amounts: set[int] = set()
+
+    def add(self, n: int = 1) -> None:
+        self.amounts.add(n)
+        super().add(n)
+
+
+# The amount each branch of a route adds to its counter, as the routes count.
+DOUBLING_BRANCHES = {
+    3: "the walk's constants, or a set bit of k",
+    7: "a level from even k",
+    8: "a level from odd k",
+    12: "the readout at even n",
+    14: "the readout at odd n",
+}
+MATRIX_BRANCHES = {
+    6: "a level",
+    9: "a level with a set bit of h",
+    7: "t = 0 at even e",
+    11: "t = 0 at odd e",
+    17: "the readout at even e",
+    21: "the readout at odd e",
+}
+
+
 class TestQuadraticForm:
-    """Both routes rest on a binary quadratic form that equals a power of c:
-    L1.1 for the doubling pair, det(alpha P + beta I) = d^h for the matrix."""
+    """Both routes read their term from a binary quadratic form in the walk's
+    last pair, and rest on a form that equals a power of c: L1.1 for the
+    doubling pair, det(alpha P + beta I) = d^h for the matrix."""
+
+    @settings(max_examples=40)
+    @given(
+        a=integer_coefficients, b=integer_coefficients, c=integer_coefficients,
+        x0=st.integers(-9, 9), x1=st.integers(-9, 9), n=st.integers(1, 120),
+    )
+    @example(a=1, b=1, c=1, x0=0, x1=1, n=37)
+    @example(a=4, b=1, c=-2, x0=3, x1=5, n=29)
+    @example(a=2, b=3, c=-4, x0=2, x1=6, n=30)
+    def test_matches_the_form_written_out(
+        self, a: int, b: int, c: int, x0: int, x1: int, n: int
+    ) -> None:
+        # at an int point with an int start the integer point is the point
+        # itself and every scale is 1, so each route returns x'(n)
+        p = Params(a, b, c, x0, x1)
+        # doubling: a x'(n) = alpha X^2 + beta X Y + gamma Y^2 at (X, Y) =
+        # (u'(k), u'(k+1)), k = n // 2, from the last level's identities
+        u = [0, 1]
+        for j in range(1, n // 2 + 2):
+            u.append((b if j % 2 == 0 else a) * u[j] + c * u[j - 1])
+        k = n // 2
+        x, y = u[k], u[k + 1]
+        chi_k, chi_k1 = (b, a) if k % 2 else (a, b)
+        r = x1 - b * x0
+        if n % 2:
+            alpha, beta, gamma = c * chi_k1 * r, 2 * b * c * x0, chi_k * x1
+        else:
+            alpha, beta, gamma = chi_k1 * (c * x0 - a * r), 2 * a * r, chi_k * x0
+        assert a * term_doubling(p, W, n) == alpha * x * x + beta * x * y + gamma * y * y
+        # matrix: x'(n) = s2 alpha^2 + 2 s1 alpha beta + s0 beta^2 with
+        # P^h = alpha P + beta I, h = e // 2, e = (n - 1) // 2, and s_j the
+        # selected row of P^j P^(e mod 2) (x'(2), x'(1))
+        transfer = [[a * b + c, a * c], [b, c]]
+        e = (n - 1) // 2
+        row = 1 if n % 2 else 0
+        start = [a * x1 + c * x0, x1]
+        s0, s1, s2 = (
+            sum(m[row][i] * start[i] for i in range(2))
+            for m in (matrix_power(transfer, e % 2 + j) for j in range(3))
+        )
+        power = matrix_power(transfer, e // 2)
+        alpha = power[1][0] // b
+        beta = power[1][1] - alpha * c
+        assert term_matrix(p, W, n) == (
+            s2 * alpha * alpha + 2 * s1 * alpha * beta + s0 * beta * beta
+        )
+
 
     @settings(max_examples=30)
     @given(a=integer_coefficients, b=integer_coefficients, c=integer_coefficients)
@@ -288,6 +366,18 @@ class TestQuadraticForm:
                 assert counter.muls == 7 + 4 * ((n - 1) // 2 % 2), index
                 if n < 40:
                     assert value == term_naive(p, W, index), index
+
+    def test_each_route_reaches_every_branch(self) -> None:
+        # each branch adds its own amount to the counter, so the amounts a
+        # route added name the branches it ran
+        for route, branches in (
+            (term_doubling, DOUBLING_BRANCHES), (term_matrix, MATRIX_BRANCHES)
+        ):
+            counter = RecordingCounter()
+            for p, kind in BRANCH_POINTS.values():
+                for n in range(-20, 21):
+                    route(p, kind, n, counter)
+            assert counter.amounts == set(branches), route.__name__
 
 
 class TestIdentitiesAtDepth:
