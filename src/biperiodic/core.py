@@ -35,18 +35,18 @@ k >= 0
 
     x(k) = x'(k) / (M lam^floor(k/2) mu^ceil(k/2)).
 
-This scale, ``_scale``, is the denominator the terms actually carry, and
-each one divides the next.  It is stated there only: a :class:`TermTable`
-stores x'(k) alone and computes the scale of an index when it is read, as
-the fast routes do for the one index they jump to.  Every prime of it
-divides the small base lam mu M, so ``_term`` reduces x'(k) over it by
-remainders and gcds against that base, and builds the ``Fraction`` without
-the public constructor's general gcd, which is quadratic in the term size.
+This scale, ``_scale``, is the denominator the terms carry, built in this
+module only: a :class:`TermTable` stores x'(k) alone, and ``_term`` builds
+the scale of k to make x(k) from x'(k), for a table and the fast routes
+alike.  Every prime of it divides the small base lam mu M, so ``_term``
+reduces over it by remainders and gcds against that base, without the
+public constructor's general gcd, which is quadratic in the term size.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -215,11 +215,10 @@ class _IntegerPoint:
     """The integer point (a, b, c) = (lam a, mu b, lam mu c) and one kind's start.
 
     (x0, x1) = (M x0, M mu x1) is the kind's initial pair scaled to ints,
-    and m is M, so the scale of index k is m lam^floor(k/2) mu^ceil(k/2).
-    lam mu is also held split, once per point, as odd 2^shift with odd an
-    odd int, so that ``_scale`` builds a power of lam mu with one ``pow`` of
-    odd and one left shift.  A plain slotted class, because a dataclass adds
-    about 3 ms to each import from source.
+    and m is M.  lam mu is also held split, once per point, as odd 2^shift
+    with odd an odd int, so that ``_scale`` builds a power of lam mu with
+    one ``pow`` of odd and one left shift.  A plain slotted class, because
+    a dataclass adds about 3 ms to each import from source.
     """
 
     __slots__ = ("lam", "mu", "m", "a", "b", "c", "x0", "x1", "odd", "shift")
@@ -305,15 +304,16 @@ def _scale(pt: _IntegerPoint, k: int) -> int:
     return (pt.m * pt.mu ** (k % 2) * pt.odd**h) << (pt.shift * h)
 
 
-def _term(pt: _IntegerPoint, numer: int, den: int) -> Rational:
-    """x(k) in lowest terms from numer = x'(k) and its scale den = ``_scale(pt, k)``.
+def _term(pt: _IntegerPoint, numer: int, k: int) -> Rational:
+    """x(k) in lowest terms from numer = x'(k), k >= 0, over den = ``_scale(pt, k)``.
 
-    The caller passes the scale it read from ``_scale``.  Every prime of it
-    divides the small base lam mu M, so a common factor of numer and den is
-    gcd(numer mod base, base, den mod base): remainders by a small int,
-    linear in the operands, and no gcd of two large values.  A common factor h is squared while its
-    square still divides both, so a high power of it leaves in a few passes.
+    Every prime of den divides the small base lam mu M, so a common factor
+    of numer and den is gcd(numer mod base, base, den mod base): remainders
+    by a small int, linear in the operands, and no gcd of two large values.
+    A common factor h is squared while its square still divides both, so a
+    high power of it leaves in a few passes.
     """
+    den = _scale(pt, k)
     base = pt.lam * pt.mu * pt.m
     h = math.gcd(numer % base, base, den % base)
     while h > 1:
@@ -327,10 +327,11 @@ def _term(pt: _IntegerPoint, numer: int, den: int) -> Rational:
 class TermTable:
     """Terms of one sequence at one parameter point, walked on demand.
 
-    ``table[n]`` is the term at any integer n; ``table.pair(n)`` is the term
-    at n as an unreduced pair of ints.  A lookup past the walked window
-    extends it by the forward step, so every term is computed once per table
-    however often it is read.
+    ``table[n]`` is the term at any integer n, ``table.pair(n)`` the term at
+    n as an unreduced pair of ints and ``table.pair_sum(terms)`` a sum of
+    terms as one.  A lookup past the walked window extends it by the
+    forward step, so every term is computed once per table however often it
+    is read.
 
     The walk runs upward on Python ints at the integer point (A, B, C) of
     the module docstring, from its initial pair:
@@ -338,14 +339,12 @@ class TermTable:
         x'(k) = chi'(k) x'(k-1) + C x'(k-2),   chi'(k) = A at even k, B at odd k,
 
     has integer coefficients, so no step reduces a fraction.  The table
-    stores x'(k) and nothing else.  ``pair(k)`` returns the stored x'(k)
-    with ``_scale`` of k and builds no ``Fraction``; ``table[k]`` hands that
-    pair to ``_term``, which reduces by the factors of the scale, on every
-    read of an index k >= 0.  Index -k is index k of a mirror table, built
-    on the first negative read, that holds only the integer point of kind W
-    at the reflected point (see :func:`reflected`), derived on ints by
-    ``_reflected_point``; reflecting twice gives back this point, so the
-    mirror is only ever read at k >= 0.
+    stores x'(k) and nothing else, and a read builds the scale it needs.
+    Index -k is index k of a mirror table, built on the first negative
+    read, that holds only the integer point of kind W at the reflected
+    point (see :func:`reflected`), derived on ints by ``_reflected_point``;
+    reflecting twice gives back this point, so the mirror is only ever read
+    at k >= 0.
     """
 
     def __init__(self, p: Params, kind: SequenceKind) -> None:
@@ -360,21 +359,42 @@ class TermTable:
     def __getitem__(self, key: int) -> Rational:
         if key < 0:
             return self._reflection()[-key]
-        return _term(self._point, *self.pair(key))
+        if key >= len(self._xs):
+            self._extend_up(key)
+        return _term(self._point, self._xs[key], key)
 
     def pair(self, k: int) -> tuple[int, int]:
         """The term at index k as the unreduced pair (N, den) of ints, den > 0.
 
-        ``Fraction(N, den) == table[k]``.  At k >= 0 the pair is
-        (x'(k), ``_scale`` of k), so the denominator at an index k >= 0
-        divides the denominator at every higher index.  Index -k is read from the mirror
-        table, so its denominator is that table's scale(k).
+        At k >= 0 it is (x'(k), ``_scale`` of k); index -k is the mirror's pair at k.
         """
         if k < 0:
             return self._reflection().pair(-k)
         if k >= len(self._xs):
             self._extend_up(k)
         return self._xs[k], _scale(self._point, k)
+
+    def pair_sum(self, terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+        """The sum of coef x(k) over (k, coef), k >= 0 ascending, as an unreduced (N, den).
+
+        den is ``_scale`` of the last index, or of 0 with no terms, and an
+        index may repeat.  From one index j to the next k the scale gains
+        lam^(floor(k/2) - floor(j/2)) mu^(ceil(k/2) - ceil(j/2)), a small int
+        that multiplies the running sum of the stored x'(j), so one scale is
+        built, not one per term.  A negative or descending index raises
+        ``ValueError``, as its factor would be a float.
+        """
+        pt, xs = self._point, self._xs
+        num = j = 0
+        for k, coef in terms:
+            if k < j:
+                raise ValueError(f"indices must be >= 0 and ascending, not {k} after {j}")
+            if k >= len(xs):
+                self._extend_up(k)
+            num = num * (pt.lam ** (k // 2 - j // 2) * pt.mu ** ((k + 1) // 2 - (j + 1) // 2))
+            num += coef * xs[k]
+            j = k
+        return num, _scale(pt, j)
 
     def _reflection(self) -> TermTable:
         mirror = self._mirror

@@ -20,16 +20,15 @@ checked.
 
 Both routes run on Python ints at the integer point of
 :mod:`biperiodic.core`, where every kind starts as W does from its initial
-pair and the scale of index n is one formula, ``core._scale``.  Each route
-computes that scale once and builds one Fraction per result from x'(n) and
-the scale through ``core._term``.  Every prime of the scale divides the
-small base lam mu M, so ``_term`` strips the common factor by remainders
-and gcds against the base, each linear in the size of the result, and
-never runs the general gcd of the public ``Fraction`` constructor, which is
-quadratic in that size and would be most of the cost of a large term at a
-rational point.  A
-negative index -n is index n of kind W at the reflected point (-a/c, -b/c,
-1/c) of :func:`biperiodic.core.reflected`, whose integer point
+pair, and build one Fraction per result from x'(n) through
+``core._term(pt, x'(n), n)``.  It reads the scale of n, which only
+:mod:`biperiodic.core` builds, and strips the common factor by remainders
+and gcds against the small base lam mu M, each linear in the size of the
+result, never running the general gcd of the public ``Fraction``
+constructor, which is quadratic in that size and would be most of the
+cost of a large term at a rational point.  A negative index -n is index n
+of kind W at the reflected point (-a/c, -b/c, 1/c) of
+:func:`biperiodic.core.reflected`, whose integer point
 ``core._reflected_point`` derives on ints from the point's numerators and
 denominators, with no reflected ``Params`` built.  So the routes only ever
 evaluate n >= 1, and a counter passed at -n counts that reflected walk.
@@ -45,7 +44,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .core import Params, SequenceKind, initial_pair, term_naive
-from .core import _integer_point, _IntegerPoint, _reflected_point, _scale, _term
+from .core import _integer_point, _IntegerPoint, _reflected_point, _term
 from .exact import OpCounter, Rational
 
 __all__ = [
@@ -143,16 +142,15 @@ def uv_doubling(
     """The pair (u(n), u(n+1)) in O(log n) multiplications, n >= 0.
 
     The pair (u'(n), u'(n+1)) is doubled on ints at the integer point (see
-    the module docstring and ``_u_pair``).  The U kind's x' is x1 u', so
-    each term is x1 u' reduced over its scale into one Fraction.  The
-    counter, when given, accrues the exact number of integer
-    multiplications and divisions of the walk.
+    the module docstring and ``_u_pair``), and each term is the U kind's
+    x' = x1 u' made one Fraction.  The counter, when given, accrues the
+    exact number of integer multiplications and divisions of the walk.
     """
     if n < 0:
         raise ValueError("doubling is defined for n >= 0")
     pt = _integer_point(p, SequenceKind.U)
     u_n, u_next, _ = _u_pair(pt, n, counter)
-    return _term(pt, pt.x1 * u_n, _scale(pt, n)), _term(pt, pt.x1 * u_next, _scale(pt, n + 1))
+    return _term(pt, pt.x1 * u_n, n), _term(pt, pt.x1 * u_next, n + 1)
 
 
 def term_doubling(
@@ -200,7 +198,7 @@ def term_doubling(
         # b x0, ab and a chi(k) (3); alpha and beta (6 at odd n, 4 at even
         # n); the three products, the division and x (-c)^k (5)
         counter.add(14 if n % 2 else 12)
-    return _term(pt, numer, _scale(pt, n))
+    return _term(pt, numer, n)
 
 
 def term_matrix(
@@ -258,7 +256,7 @@ def term_matrix(
             # by s0 (2)
             counter.add(7 + 4 * odd_e)
         numer = ((y2 if n % 2 else y1) * pow(-odd, half)) << (shift * half)
-        return _term(pt, numer, _scale(pt, n))
+        return _term(pt, numer, n)
     z1, z2 = ab_c * y1 + ac * y2, b * y1 + c * y2  # P y
     if n % 2:
         s0, s1, s2 = y2, z2, b * z1 + c * z2
@@ -289,7 +287,7 @@ def term_matrix(
         # (4); P y (4); the row of P^2 y (2); s0 d and s0 t (2); the three
         # products of the readout and s0 d^h (4)
         counter.add(17 + 4 * odd_e)
-    return _term(pt, numer, _scale(pt, n))
+    return _term(pt, numer, n)
 
 
 def term_fast(

@@ -49,7 +49,7 @@ per sequence, held in a one-entry memo keyed by the parameter point.
 ``run_suite`` checks one point per sample, so every check of a sample reads
 the same three tables, and each term is walked once per sample.  Every
 family runs on unreduced ratios num/den of ints, den > 0: it reads each
-term, y terms included, as its table's pair
+u, v and w term as its table's pair
 (:meth:`~biperiodic.core.TermTable.pair`), built into a ratio on its first
 read and shared by every later one, and multiplies and adds with no gcd.
 One report builder decides ``passed`` for every family by cross-multiplying
@@ -85,9 +85,9 @@ top = m(n+1) + r, is the corrected closed form
     ((1 - tr(K^m)) (y(r) - y(top)) + y(r+m) - y(top+m)) / det(I - K^m),
 
 which reads y at t >= 0 only, with det(I - K^m) = 1 - tr(K^m) + (ab)^m (-c)^m.
-:func:`_y_sum` adds int coef times y'(t) over ascending t >= 0, over the y
-table's scale: the direct sum, each closed-form numerator and BINOM's
-expansion are one such sum.
+The direct sum, each closed-form numerator and BINOM's expansion are each
+one sum of int coef times y(t), t >= 0 ascending, that the y table adds
+itself (:meth:`~biperiodic.core.TermTable.pair_sum`).
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ class _Ratios(dict):
     The ratio at k is built on its first read and kept, so every check of
     a point shares it, and a later read is a plain dict lookup.  Two threads
     that race on one index each store an equal ratio.  Every check reads its
-    terms here and nowhere else.
+    u, v and w terms here and nowhere else.
     """
 
     __slots__ = ("table",)
@@ -328,7 +328,7 @@ class _Point:
     unreduced ratios of the numerators and denominators, and ``w_inv`` is
     the w invariant; ``tr_k`` is tr K = ab, reduced, since the
     powers of ab in SUM's constants and in BINOM's weight are built from it.
-    ``ys`` holds the terms of the y tables of SUM and BINOM, as ratios too;
+    ``ys`` holds the y tables of SUM and BINOM, which sum their own terms;
     L1, L2 and the w families never build them.
     """
 
@@ -345,15 +345,15 @@ class _Point:
         self.q = b * b + 4 * c * ba
         self.w_inv = w1 * w1 - b * w0 * w1 - c * ba * w0 * w0
         self.tr_k = _ratio(p.a * p.b)
-        self._ys: tuple[_Ratios, _Ratios] | None = None
+        self._ys: tuple[TermTable, TermTable] | None = None
 
     @property
-    def ys(self) -> tuple[_Ratios, _Ratios]:
+    def ys(self) -> tuple[TermTable, TermTable]:
         """(y_u, y_v), kinds U and V at (ab, ab, abc), built on the first read."""
         if self._ys is None:  # two threads that race here each build equal tables
             ab = _reduced(self.tr_k)
             q = Params(ab, ab, _reduced(self.tr_k * self.c))
-            self._ys = _Ratios(TermTable(q, SequenceKind.U)), _Ratios(TermTable(q, SequenceKind.V))
+            self._ys = TermTable(q, SequenceKind.U), TermTable(q, SequenceKind.V)
         return self._ys
 
 
@@ -548,7 +548,7 @@ def _constants(p: Params, m: int) -> tuple[_Ratio, _Ratio, _Ratio]:
     :func:`sum_constants` is 1 - tr / (ab)^floor(m/2) + (ab)^z (-c)^m.
     """
     pt = _tables(p)
-    tr = pt.ys[1][m]
+    tr = _Ratio(*pt.ys[1].pair(m))
     c_m = (-pt.c) ** m
     corrected = _Ratio(1) - tr + pt.tr_k**m * c_m
     printed = _Ratio(1) - tr / pt.tr_k ** (m // 2) + pt.tr_k ** zeta(m) * c_m
@@ -567,30 +567,14 @@ def sum_constants(p: Params, m: int) -> SumConstants:
     return SumConstants(_reduced(printed), _reduced(corrected))
 
 
-def _y_sum(ys: _Ratios, terms: list[tuple[int, int]]) -> _Ratio:
-    """The sum of coef y(t) over (t, coef) in ascending t >= 0, unreduced.
-
-    ``ys`` holds a y table's terms; its ratio at t is y'(t) over scale(t),
-    and every scale is positive and divides the next (see
-    :meth:`~biperiodic.core.TermTable.pair`), so the sum runs on ints over
-    the scale of its last index.  An index may repeat.
-    """
-    num, den = 0, 1
-    for t, coef in terms:
-        y = ys[t]
-        num = num * (y.den // den) + coef * y.num
-        den = y.den
-    return _Ratio(num, den)
-
-
-def _direct_sum(ys: _Ratios, m: int, n: int, r: int) -> _Ratio:
+def _direct_sum(ys: TermTable, m: int, n: int, r: int) -> _Ratio:
     """One weighted partial sum, y(r) + y(m + r) + ... + y(mn + r), unreduced."""
-    return _y_sum(ys, [(t, 1) for t in range(r, m * n + r + 1, m)])
+    return _Ratio(*ys.pair_sum((t, 1) for t in range(r, m * n + r + 1, m)))
 
 
 def _closed_sum(
     p: Params,
-    ys: _Ratios,
+    ys: TermTable,
     m: int,
     n: int,
     r: int,
@@ -600,11 +584,10 @@ def _closed_sum(
     """The corrected or the printed closed form of one partial sum, unreduced, or None.
 
     ``constants`` is :func:`_constants` at m.  With tr(K^m) = t/one,
-    (ab)^floor(m/2) = g/h and d the form's constant, the form is one
-    :func:`_y_sum` on y(r), y(r+m), y(top), y(top+m): coefficients
-    (one - t, one, t - one, -one) over one d, or (g one - h t, h one,
-    -(g one + h t), h one) over g one d (see :func:`sum_closed`); None where
-    d = 0.
+    (ab)^floor(m/2) = g/h and d the form's constant, the form sums y(r),
+    y(r+m), y(top), y(top+m) with coefficients (one - t, one, t - one,
+    -one) over one d, or (g one - h t, h one, -(g one + h t), h one) over
+    g one d (see :func:`sum_closed`); None where d = 0.
     """
     tr, d_corrected, d_printed = constants
     t, one = tr.num, tr.den
@@ -618,8 +601,7 @@ def _closed_sum(
     if under.num == 0:
         return None
     top = m * n + m + r
-    terms = list(zip((r, r + m, top, top + m), coefs))
-    return _y_sum(ys, terms) / under
+    return _Ratio(*ys.pair_sum(zip((r, r + m, top, top + m), coefs))) / under
 
 
 def sum_direct(p: Params, m: int, n: int, r: int) -> tuple[Rational, Rational]:
@@ -688,7 +670,7 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
 
     The left side is the term at mn+r as a ratio of the point's table.  The
     right side is the Cayley-Hamilton expansion of y(mn+r) in the module
-    docstring, one :func:`_y_sum` with integer coefficients, over the weight
+    docstring, one sum of the y table with integer coefficients, over the weight
     (ab)^floor((mn+r)/2) a^e of y at mn+r, as a ratio; the two coefficients
     of K^m are each reduced once first, since their n-th powers scale the
     sum.  The sides are compared by cross-multiplying; m >= 2, n >= 0, r >= 0.
@@ -704,8 +686,8 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
     xs, ys, shift = (pt.us, y_u, -1) if seq == "u" else (pt.vs, y_v, 0)
     # the coefficients of K^m = y_u(m) K + abc y_u(m-1) I, each reduced once,
     # over one denominator d: their n-th powers scale every coefficient below
-    head = _reduced(y_u[m])
-    tail = _reduced(pt.tr_k * pt.c * y_u[m - 1])
+    head = _reduced(_Ratio(*y_u.pair(m)))
+    tail = _reduced(pt.tr_k * pt.c * _Ratio(*y_u.pair(m - 1)))
     d = math.lcm(head.denominator, tail.denominator)
     heads = accumulate(repeat(head.numerator * (d // head.denominator), n), mul, initial=1)
     tails = list(accumulate(repeat(tail.numerator * (d // tail.denominator), n), mul, initial=1))
@@ -713,7 +695,7 @@ def check_binomial(p: Params, m: int, n: int, r: int, seq: str = "u") -> Identit
     # the weight of y at the target, (ab)^floor(target/2) a^e with e in {-1, 0, 1}
     e = zeta(target) + shift
     weight = pt.tr_k ** (target // 2) * (pt.a**e if e >= 0 else _Ratio(1) / pt.a)
-    rhs = _y_sum(ys, terms) / (weight * d**n)
+    rhs = _Ratio(*ys.pair_sum(terms)) / (weight * d**n)
     return _report(_identity(Family.BINOM, seq), p, {"m": m, "n": n, "r": r}, xs[target], rhs)
 
 

@@ -120,10 +120,10 @@ def k_power_closed(p: Params, n: int) -> Mat2:
     u_n = term_naive(p, SequenceKind.U, n)
     v_n = term_naive(p, SequenceKind.V, n)
     z = zeta(n)
-    half_scale = rat_pow(p.a * p.b, n // 2) / 2
+    half_weight = rat_pow(p.a * p.b, n // 2) / 2
     diag = rat_pow(p.a, z) * v_n
     off = rat_pow(p.a, z - 1) * u_n
-    return Mat2(diag, d * off, off, diag).scaled(half_scale)
+    return Mat2(diag, d * off, off, diag).scaled(half_weight)
 
 
 def k_power_decompose(

@@ -343,7 +343,7 @@ class TestTermTable:
                 num, den = pairs[k] = table.pair(k)
                 assert den > 0 and Fraction(num, den) == table[k] == term_naive(p, kind, k)
                 assert den == (_scale(point, k) if k >= 0 else _scale(mirror, -k))
-            # the sums of identities rely on this: upward denominators divide upward
+            # upward denominators divide upward, by the factor pair_sum applies
             for k in range(64):
                 assert pairs[k + 1][1] % pairs[k][1] == 0
 
@@ -431,6 +431,62 @@ class TestTermTable:
                 assert check_outcome(check, point, args) == fresh[point, check]
 
 
+@st.composite
+def ascending_terms(draw: st.DrawFn) -> list[tuple[int, int]]:
+    """(k, coef) pairs, k ascending in 0..200 by strides 0..5, so an index may repeat.
+
+    The coefficients include 0, 1 and -1 and ints up to 2^64 of either sign.
+    """
+    k, terms = draw(st.integers(0, 200)), []
+    coefs = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(2**64), 2**64))
+    for stride in draw(st.lists(st.integers(0, 5), max_size=60)):
+        if k > 200:
+            break
+        terms.append((k, draw(coefs)))
+        k += stride
+    return terms
+
+
+FIXED_POINTS = [Params(1, 1, 1, 0, 1), P_STAR, Params("1/2", 3, "-2/5", "1/3", 2)]
+# every third index with a 0 coefficient among them, and 7, 7, 8 for a
+# repeat and strides of 0 and 1
+STRIDED = sorted([(k, k % 5 - 2) for k in range(0, 201, 3)] + [(7, -4), (7, 0), (8, 1)])
+
+
+class TestPairSum:
+    """``TermTable.pair_sum`` against the exact sum of the terms it adds."""
+
+    @settings(max_examples=40)
+    @given(p=points, terms=ascending_terms())
+    @example(p=FIXED_POINTS[0], terms=STRIDED)
+    @example(p=FIXED_POINTS[1], terms=STRIDED)
+    @example(p=FIXED_POINTS[2], terms=STRIDED)
+    @example(p=FIXED_POINTS[2], terms=[(3, 1), (4, -1), (9, 2)])
+    def test_matches_the_fraction_sum(self, p: Params, terms: list[tuple[int, int]]) -> None:
+        ab = p.a * p.b
+        # the point itself and its y point (ab, ab, abc), whose tables SUM and BINOM sum
+        for q in (p, Params(ab, ab, ab * p.c)):
+            for kind in SequenceKind:
+                table = TermTable(q, kind)
+                num, den = table.pair_sum(terms)
+                expected = sum((coef * table[k] for k, coef in terms), Fraction(0))
+                assert Fraction(num, den) == expected, (q, kind)
+                last = terms[-1][0] if terms else 0
+                assert den == _scale(_integer_point(q, kind), last), (q, kind)
+
+    @pytest.mark.parametrize("p", FIXED_POINTS, ids=["fibonacci", "pstar", "rational"])
+    def test_one_term_is_the_pair(self, p: Params) -> None:
+        for kind in SequenceKind:
+            table = TermTable(p, kind)
+            for k in range(61):
+                assert table.pair_sum([(k, 1)]) == table.pair(k), (kind, k)
+
+    @pytest.mark.parametrize("terms", [[(-1, 1)], [(3, 1), (2, 1)], [(0, 1), (2, 1), (-2, 1)]])
+    def test_a_negative_or_descending_index_raises(self, terms: list[tuple[int, int]]) -> None:
+        with pytest.raises(ValueError, match="ascending"):
+            TermTable(P_STAR, U).pair_sum(terms)
+
+
 class TestScale:
     """``_scale`` builds M lam^floor(k/2) mu^ceil(k/2) from the odd part of lam mu
     and a shift."""
@@ -479,8 +535,7 @@ class TestTerm:
     @given(case=scaled_numerators())
     def test_matches_public_constructor(self, case: tuple[_IntegerPoint, int, int]) -> None:
         pt, k, numer = case
-        den = _scale(pt, k)
-        built, public = _term(pt, numer, den), Fraction(numer, den)
+        built, public = _term(pt, numer, k), Fraction(numer, _scale(pt, k))
         assert (built.numerator, built.denominator) == (public.numerator, public.denominator)
         assert built == public and hash(built) == hash(public)
 

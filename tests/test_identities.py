@@ -35,7 +35,6 @@ from biperiodic.identities import (
     _report,
     _tables,
     _validate_sum_indices,
-    _y_sum,
     check_addition,
     check_binomial,
     check_cassini,
@@ -353,7 +352,8 @@ class TestReport:
             hash(built)
 
     # One check of each family, its arguments after the point, and a term it
-    # reads: the ratios that hold the term, from the point's memo, and its index.
+    # reads: the ratios that hold the term, from the point's memo, or for SUM
+    # the y table itself, and its index.
     ALTERED = [
         pytest.param(check_u_identity, (2, 2, 4), lambda pt: (pt.us, 6), id="L1.2"),
         pytest.param(check_uv_identity, (3, 2, 1), lambda pt: (pt.vs, 2), id="L2.3"),
@@ -377,8 +377,11 @@ class TestReport:
         _tables.cache_clear()
         try:
             assert check(P_STAR, *args).passed
-            ratios, k = altered(_tables(P_STAR))
-            ratios[k] = ratios[k] + _Ratio(1)
+            held, k = altered(_tables(P_STAR))
+            if isinstance(held, TermTable):  # a y table: alter its stored numerator
+                held._xs[k] += 1
+            else:
+                held[k] = held[k] + _Ratio(1)
             report = check(P_STAR, *args)
             assert report.passed is False
             assert report.to_dict()["pass"] is False
@@ -736,8 +739,8 @@ class TestPartialSums:
     def test_y_sum_denominator_is_positive(self, p: Params) -> None:
         for seq, ys in zip("uv", _Point(p).ys):
             for t in range(25):
-                assert _y_sum(ys, [(t, 1)]).den > 0, (seq, t)
-            assert _y_sum(ys, [(t, -1) for t in range(25)]).den > 0, seq
+                assert ys.pair_sum([(t, 1)])[1] > 0, (seq, t)
+            assert ys.pair_sum([(t, -1) for t in range(25)])[1] > 0, seq
 
     @given(abc=st.tuples(grid_nonzero, grid_nonzero, grid_nonzero))
     @example(abc=(DEGENERATE.a, DEGENERATE.b, DEGENERATE.c))
@@ -749,8 +752,8 @@ class TestPartialSums:
         k = build(MatrixTag.K, p)
         for ys, entry in zip(_Point(p).ys, ("m21", "m11")):
             for t in range(25):
-                y = _y_sum(ys, [(t, 1)])
-                assert Fraction(y.num, y.den) == 2 * getattr(mat_pow(k, t), entry), (entry, t)
+                y = Fraction(*ys.pair_sum([(t, 1)]))
+                assert y == 2 * getattr(mat_pow(k, t), entry), (entry, t)
 
     @given(p=grid_points)
     @example(p=P_STAR)
@@ -759,7 +762,7 @@ class TestPartialSums:
     def test_y_tables_are_the_weighted_terms(self, p: Params) -> None:
         # y_u and y_v, kinds U and V at (ab, ab, abc), against the weight of
         # their definition times the naive walk, and A^n from y_u's terms
-        y_u, y_v = (ys.table for ys in _Point(p).ys)
+        y_u, y_v = _Point(p).ys
         ab, abc = p.a * p.b, p.a * p.b * p.c
         for ys, kind, shift in ((y_u, SequenceKind.U, -1), (y_v, SequenceKind.V, 0)):
             for t in range(60):
@@ -774,12 +777,13 @@ class TestPartialSums:
         # tr(K^m) is one table read; then sum_closed sums only the requested
         # form for u and for v, and the check its direct sum and its two forms
         calls = []
+        pair_sum = TermTable.pair_sum
 
-        def counted(*args):
-            calls.append(args)
-            return _y_sum(*args)
+        def counted(table, terms):
+            calls.append(terms)
+            return pair_sum(table, terms)
 
-        monkeypatch.setattr(identities, "_y_sum", counted)
+        monkeypatch.setattr(TermTable, "pair_sum", counted)
         for corrected in (True, False):
             calls.clear()
             sum_closed(P_STAR, 2, 3, 1, corrected)
