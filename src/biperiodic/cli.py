@@ -26,7 +26,8 @@ about 0.17 s at 64 and 0.53 s at 128 on 2 vCPUs).  It also refuses
 ``--samples`` above ``_VERIFY_SAMPLE_CAP`` (10^4): time and memory grow
 linearly with the samples, and every report is held until the run ends
 (``--suite all --samples 10000 --report json`` at the default index bound
-takes about 13 s and 340 MB on 2 vCPUs, for 39 MB of output).  ``bench``
+takes about 6 s and 105 MB on 2 vCPUs, for 39 MB of output, which is written
+report by report as it is rendered).  ``bench``
 refuses a ``--repeat`` above ``_BENCH_REPEAT_CAP`` (1000) the same way: each
 repeat is one more timed call per index and method, and every timing is held
 until the median is taken.
@@ -243,10 +244,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     summary = run_suite(config)
     if args.report == "json":
-        payload = summary.to_dict()
-        payload["suite"] = args.suite
-        # a fresh tree with no cycles, so the check would find nothing
-        print(json.dumps(payload, check_circular=False))
+        summary.write_json(sys.stdout.write, args.suite)
+        sys.stdout.write("\n")
     else:
         _print_plain_verify(summary, args.suite)
     return 1 if summary.failed else 0

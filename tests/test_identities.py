@@ -4,13 +4,15 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biperiodic import identities
+from biperiodic.cli import _SUITES
 from biperiodic.core import (
     DegenerateParametersError,
     Params,
@@ -29,6 +31,7 @@ from biperiodic.identities import (
     SkipRecord,
     SumConstants,
     SuiteConfig,
+    SuiteSummary,
     _identity,
     _Point,
     _Ratio,
@@ -318,6 +321,8 @@ class TestReport:
         assert report.passed is (Fraction(ln, ld) == Fraction(rn, rd))
         assert report.lhs == Fraction(ln, ld) and report.rhs == Fraction(rn, rd)
         assert report.to_dict()["pass"] is report.passed
+        # equal sides are reduced once: a passing report's rhs is its lhs
+        assert (report.rhs is report.lhs) is report.passed
 
     @given(left=unreduced, right=unreduced, printed=st.one_of(st.none(), unreduced))
     def test_built_as_the_constructor_builds(
@@ -373,10 +378,21 @@ class TestReport:
     ]
 
     @pytest.mark.parametrize(("check", "args", "altered"), ALTERED)
-    def test_an_altered_term_fails(self, check, args: tuple, altered) -> None:
+    def test_an_altered_term_fails(
+        self, monkeypatch: pytest.MonkeyPatch, check, args: tuple, altered
+    ) -> None:
+        sides: list[tuple[_Ratio, _Ratio]] = []  # the unreduced sides of each report
+        real = identities._report
+
+        def spy(ident, p, indices, lhs, rhs, *rest):
+            sides.append((lhs, rhs))
+            return real(ident, p, indices, lhs, rhs, *rest)
+
+        monkeypatch.setattr(identities, "_report", spy)
         _tables.cache_clear()
         try:
-            assert check(P_STAR, *args).passed
+            honest = check(P_STAR, *args)
+            assert honest.passed and honest.rhs is honest.lhs
             held, k = altered(_tables(P_STAR))
             if isinstance(held, TermTable):  # a y table: alter its stored numerator
                 held._xs[k] += 1
@@ -385,6 +401,10 @@ class TestReport:
             report = check(P_STAR, *args)
             assert report.passed is False
             assert report.to_dict()["pass"] is False
+            # a failing report reduces its own right side, not the left one
+            lhs, rhs = sides[-1]
+            assert report.lhs == Fraction(lhs.num, lhs.den)
+            assert report.rhs == Fraction(rhs.num, rhs.den) != report.lhs
         finally:
             _tables.cache_clear()
 
@@ -1063,6 +1083,104 @@ class TestRunSuite:
     def test_any_seed_passes_small_run(self, seed: int) -> None:
         summary = run_suite(SuiteConfig(samples=2, seed=seed, max_index=6))
         assert summary.failed == 0
+
+
+def written(summary: SuiteSummary, suite: str) -> str:
+    """The text :meth:`SuiteSummary.write_json` writes, joined."""
+    pieces: list[str] = []
+    summary.write_json(pieces.append, suite)
+    return "".join(pieces)
+
+
+def dumped(summary: SuiteSummary, suite: str) -> str:
+    """The reference text: ``json.dumps`` of the summary's plain data, with its suite set."""
+    payload = summary.to_dict()
+    payload["suite"] = suite
+    return json.dumps(payload)
+
+
+class TestWriteJson:
+    @given(
+        suite=st.sampled_from(sorted(_SUITES)),
+        samples=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+        max_index=st.integers(1, 24),
+        # pinned points that skip L2 and SUM, skip SUM at m = 1, and whose
+        # printed SUM form mismatches
+        params=st.sampled_from([None, (DEGENERATE,), (SINGULAR_SUM,), (P_STAR, DEGENERATE)]),
+    )
+    @settings(max_examples=40)
+    def test_writes_the_bytes_of_to_dict(
+        self,
+        suite: str,
+        samples: int,
+        seed: int,
+        max_index: int,
+        params: tuple[Params, ...] | None,
+    ) -> None:
+        config = SuiteConfig(_SUITES[suite], samples, seed, max_index, params)
+        summary = run_suite(config)
+        assert written(summary, suite) == dumped(summary, suite)
+
+    def test_pinned_points_skip_and_mismatch(self) -> None:
+        # the pinned points of the property above reach each kind of record
+        summary = run_suite(
+            SuiteConfig(samples=3, seed=1, params=(P_STAR, DEGENERATE, SINGULAR_SUM))
+        )
+        reasons = {record.reason for record in summary.skipped}
+        assert any("discriminant" in reason for reason in reasons)
+        assert any("zero for this m" in reason for reason in reasons)
+        assert any(report.printed_form_matches is False for report in summary.results)
+        assert written(summary, "all") == dumped(summary, "all")
+
+    def test_hand_built_records(self) -> None:
+        past_limit = check_binomial(
+            Params(Fraction(1, 2), 3, Fraction(-2, 5), 1, 1), 128, 128, 5, "u"
+        )
+        failing = identities.IdentityReport(
+            _identity(Family.L1, 2), P_STAR, {"m": 2, "n": 3}, Fraction(-7, 3), Fraction(5), False
+        )
+        mismatch = identities.IdentityReport(
+            _identity(Family.SUM, "v"), RATIONAL_W, {"m": 1, "n": 0, "r": 0},
+            Fraction(2), Fraction(2), True, Fraction(-1, 11),
+        )
+        match = identities.IdentityReport(
+            _identity(Family.SUM, "u"), P_STAR, {"m": 1, "n": 1, "r": 0},
+            Fraction(8), Fraction(8), True, Fraction(8),
+        )
+        skip = SkipRecord(
+            _identity(Family.L2, 3), 4, 'a "quoted" reason, a \\ and an \u00e9 \u2260 e', DEGENERATE
+        )
+        results = [past_limit, failing, mismatch, match]
+        summary = SuiteSummary((Family.L1, Family.SUM, Family.BINOM), 9, 3, results, [skip], 3, 1)
+        text = written(summary, "mixed")
+        assert text == dumped(summary, "mixed")
+        assert len(text) > 2 * 4300 and text.isascii()
+        assert json.loads(text)["skipped"][0]["reason"] == skip.reason
+
+    def test_an_empty_summary(self) -> None:
+        summary = SuiteSummary((Family.T34,), 0, 1)
+        assert written(summary, "T34") == dumped(summary, "T34")
+
+    def test_holds_neither_a_tree_nor_the_text(self) -> None:
+        # written to a stream that keeps nothing, the peak is a small part of
+        # the output: about 0.04 of it (Python 3.11), against 6.3 times for
+        # to_dict and json.dumps, which hold the dict tree and the whole text
+        summary = run_suite(SuiteConfig(samples=200, seed=5, max_index=24))
+        size = 0
+
+        def count(piece: str) -> None:
+            nonlocal size
+            size += len(piece)
+
+        tracemalloc.start()
+        try:
+            summary.write_json(count, "all")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == len(dumped(summary, "all")) > 10**6
+        assert peak < size // 2
 
 
 def generated_repr(obj: object) -> str:
